@@ -4,7 +4,7 @@
 //! The journal layer (`cs_obs::journal` + `cs_now::journal`) promises a
 //! *kill-anywhere* guarantee: crash the master at any journal record
 //! boundary — even mid-write, leaving a torn final record — and
-//! [`cs_now::Farm::resume`] finishes the episode with a `FarmReport`
+//! [`cs_now::Farm::resume_vfs`] finishes the episode with a `FarmReport`
 //! **bitwise identical** to the uninterrupted run, stitching the journal
 //! into the exact byte stream the uninterrupted run would have written.
 //!
@@ -36,10 +36,10 @@ use cs_life::{ArcLife, Uniform};
 use cs_now::farm::{Farm, FarmConfig, FarmReport, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_now::{
-    default_snapshot_path, guideline_fsync_policy, inspect_snapshot, IoErrorPolicy, JournalError,
+    guideline_fsync_policy, inspect_snapshot, ring_snapshot_path, IoErrorPolicy, JournalError,
     JournalOptions, SnapshotErrorKind, SnapshotOutcome,
 };
-use cs_obs::{injected_kind, FaultAt, FaultKind, FaultyVfs, ALL_FAULT_KINDS};
+use cs_obs::{injected_kind, FaultAt, FaultKind, FaultyVfs, StdVfs, ALL_FAULT_KINDS};
 use cs_tasks::{workloads, TaskBag};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -234,7 +234,7 @@ fn run_disk_trial(
     let (prefix, snap_bytes) = staged;
     let (ref_report, ref_bytes) = reference;
     let trial_path = scratch_path(&format!("trial_{}_{trial}", cfg.seed));
-    let trial_snap = default_snapshot_path(&trial_path);
+    let trial_snap = ring_snapshot_path(&trial_path, 0);
     t.disk_trial = true;
     let kind = ALL_FAULT_KINDS[trial % ALL_FAULT_KINDS.len()];
     let index = (trial / ALL_FAULT_KINDS.len()) as u64 % 3;
@@ -321,11 +321,12 @@ fn run_disk_trial(
             snapshot_every: Some(cfg.snapshot_every),
             ..Default::default()
         };
-        match Farm::resume_with(
+        match Farm::resume_vfs(
             chaos_farm_config(cfg),
             chaos_bag(cfg),
             &trial_path,
             clean_opts,
+            &StdVfs,
         ) {
             Ok((report, _info)) => {
                 if let Some(d) = report_diff(ref_report, &report) {
@@ -354,7 +355,7 @@ fn run_disk_trial(
 /// failures (unwritable temp dir, invalid scenario) are `Err`.
 pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
     let ref_path = scratch_path(&format!("ref_{}", cfg.seed));
-    let ref_snap = default_snapshot_path(&ref_path);
+    let ref_snap = ring_snapshot_path(&ref_path, 0);
     let config = chaos_farm_config(cfg);
     let opts = JournalOptions {
         fsync: guideline_fsync_policy(&config),
@@ -364,7 +365,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
     };
     let farm = Farm::new(config, chaos_bag(cfg)).map_err(|e| e.to_string())?;
     let (ref_report, _stats) = farm
-        .run_journaled_with(&ref_path, opts)
+        .run_journaled_vfs(&ref_path, opts, &StdVfs)
         .map_err(|e| format!("reference journaled run: {e}"))?;
     let ref_bytes = std::fs::read(&ref_path).map_err(|e| e.to_string())?;
     // The reference run's final sidecar: which journal prefix it covers
@@ -422,7 +423,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
         let k = kill_points[trial];
         let mut t = TrialOutcome::default();
         let trial_path = scratch_path(&format!("trial_{}_{trial}", cfg.seed));
-        let trial_snap = default_snapshot_path(&trial_path);
+        let trial_snap = ring_snapshot_path(&trial_path, 0);
         let torn = trial % 2 == 1 && k < n;
         let mut prefix: Vec<u8> = records[..k].concat();
         if torn {
@@ -464,11 +465,12 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
             snapshot_every: Some(cfg.snapshot_every),
             ..Default::default()
         };
-        match Farm::resume_with(
+        match Farm::resume_vfs(
             chaos_farm_config(cfg),
             chaos_bag(cfg),
             &trial_path,
             trial_opts,
+            &StdVfs,
         ) {
             Ok((report, info)) => {
                 let mut bad = false;

@@ -22,11 +22,10 @@ use cs_life::{ArcLife, Polynomial, Uniform};
 use cs_now::farm::{Farm, FarmConfig, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_now::{
-    default_snapshot_path, guideline_fsync_policy, guideline_snapshot_interval, JournalOptions,
-    SnapshotOutcome,
+    guideline_fsync_policy, guideline_snapshot_interval, ring_snapshot_path, segment_meta_path,
+    JournalOptions, SnapshotOutcome,
 };
-use cs_now::{ring_snapshot_path, segment_meta_path};
-use cs_obs::{check_lines, Event, EventSink, MemorySink, MetricsRegistry, SpanProfiler};
+use cs_obs::{check_lines, Event, EventSink, MemorySink, MetricsRegistry, SpanProfiler, StdVfs};
 use cs_sim::{simulate_expected_work_parallel_profiled, simulate_expected_work_profiled};
 use cs_tasks::{workloads, TaskBag};
 use std::path::Path;
@@ -225,7 +224,7 @@ fn time_resume(
     };
     let start = Instant::now();
     let (_report, info) =
-        Farm::resume_with(config, bag, path, opts).map_err(|e| format!("{id}: {e}"))?;
+        Farm::resume_vfs(config, bag, path, opts, &StdVfs).map_err(|e| format!("{id}: {e}"))?;
     let wall_ns = start.elapsed().as_nanos() as u64;
     let outcome_ok = match info.snapshot {
         SnapshotOutcome::Used { .. } => expect_snapshot,
@@ -262,7 +261,7 @@ fn recovery_pair(
         "cs_bench_recovery_{tasks}_{}.jsonl",
         std::process::id()
     ));
-    let snap = default_snapshot_path(&path);
+    let snap = ring_snapshot_path(&path, 0);
     let (config, bag) = recovery_farm(tasks)?;
     let opts = JournalOptions {
         fsync: guideline_fsync_policy(&config),
@@ -271,7 +270,7 @@ fn recovery_pair(
     };
     Farm::new(config, bag)
         .map_err(|e| e.to_string())?
-        .run_journaled_with(&path, opts)
+        .run_journaled_vfs(&path, opts, &StdVfs)
         .map_err(|e| format!("{id_snapshot}: reference journaled run: {e}"))?;
     std::fs::metadata(&snap)
         .map_err(|e| format!("{id_snapshot}: reference run left no sidecar: {e}"))?;
@@ -306,7 +305,7 @@ fn ring_scenario(tasks: usize) -> Result<ScenarioResult, String> {
     };
     let (_report, stats) = Farm::new(config, bag)
         .map_err(|e| e.to_string())?
-        .run_journaled_with(&path, opts)
+        .run_journaled_vfs(&path, opts, &StdVfs)
         .map_err(|e| format!("{id}: reference journaled run: {e}"))?;
     if stats.gc_truncated_records == 0 {
         return Err(format!(
@@ -322,8 +321,8 @@ fn ring_scenario(tasks: usize) -> Result<ScenarioResult, String> {
         ..Default::default()
     };
     let start = Instant::now();
-    let (_report, info) =
-        Farm::resume_with(config, bag, &path, resume_opts).map_err(|e| format!("{id}: {e}"))?;
+    let (_report, info) = Farm::resume_vfs(config, bag, &path, resume_opts, &StdVfs)
+        .map_err(|e| format!("{id}: {e}"))?;
     let wall_ns = start.elapsed().as_nanos() as u64;
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(segment_meta_path(&path)).ok();

@@ -25,12 +25,13 @@ use cs_now::{
     guideline_fsync_policy, guideline_snapshot_interval, IoErrorPolicy, JournalOptions,
     SnapshotOutcome,
 };
-use cs_obs::{JsonlSink, MetricsSink, ProgressSink, RunSummary, SpanProfiler, TeeSink};
+use cs_obs::{JsonlSink, MetricsSink, ProgressSink, RunSummary, SpanProfiler, StdVfs, TeeSink};
 use cs_scenarios::{LifeSpec, PolicyParseError, LIFE_OPTS};
 use cs_tasks::{workloads, TaskBag};
 use cs_trace::{estimate::estimate_life, fit::fit_all, owner::DiurnalOwner};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::Path;
 use std::process::ExitCode;
 
 const HELP: &str = "\
@@ -74,18 +75,17 @@ COMMANDS:
                neither combines with --trace-out/--metrics/--profile):
                --journal <file>         run with a durable write-ahead journal
                --resume <file>          recover an interrupted journaled run
-                                        (restores <file>.snap when present;
-                                        falls back to full replay with a
-                                        warning when missing or corrupt)
+                                        (restores the newest usable
+                                        <file>.snap.<g>; falls back to full
+                                        replay with a warning when none is)
                --kill-after <n>         crash drill: abort the process after
                                         n committed journal records
                --snapshot-every <dt>    state-snapshot cadence in virtual
                                         time (needs --journal or --resume;
                                         default: the saves guideline)
                --snapshot-ring <n>      keep n snapshot generations
-                                        (<file>.snap.0..n-1) instead of one
-                                        sidecar (needs --journal/--resume;
-                                        default 1 = legacy <file>.snap)
+                                        <file>.snap.0..n-1 (needs
+                                        --journal/--resume; default 1)
                --journal-gc             prune journal records the oldest
                                         retained generation makes redundant
                                         (bounded disk; needs
@@ -163,13 +163,13 @@ COMMANDS:
                                         time travel: reconstruct the farm's
                                         state as of a journal record
                replay --journal <file> --fork [farm scenario flags]
-                                        what-if: restore <file>.snap under a
+                                        what-if: restore the newest
+                                        <file>.snap.<g> under a
                                         (possibly perturbed) fault plan and
                                         run the rest of the episode
                replay ... --generation <g>
-                                        pin --to/--fork to ring generation
-                                        <file>.snap.<g> instead of the
-                                        newest usable snapshot
+                                        start --to/--fork from ring
+                                        generation <file>.snap.<g>
     help       Show this message.
 ";
 
@@ -761,8 +761,8 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
             gc: journal_gc,
             on_io_error,
         };
-        let (report, info) =
-            Farm::resume_with(config, bag, &path, opts).map_err(|e| e.to_string())?;
+        let (report, info) = Farm::resume_vfs(config, bag, Path::new(&path), opts, &StdVfs)
+            .map_err(|e| e.to_string())?;
         let mut summary = RunSummary::new("farm_resume")
             .int("records_replayed", info.records_replayed)
             .int("records_appended", info.records_appended)
@@ -770,23 +770,20 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
             .flag("degraded", info.degraded);
         match info.snapshot {
             SnapshotOutcome::Used { records_skipped } => {
-                let sidecar = match info.generation {
-                    Some(g) => format!("{path}.snap.{g} (generation {g})"),
-                    None => format!("{path}.snap"),
-                };
+                let g = info.generation.unwrap_or_default();
                 durable_lines.push(format!(
-                    "snapshot      : restored {sidecar}, {records_skipped} records skipped"
+                    "snapshot      : restored {path}.snap.{g} (generation {g}), \
+                     {records_skipped} records skipped"
                 ));
                 summary = summary
                     .text("snapshot", "used")
-                    .int("records_skipped", records_skipped);
-                if let Some(g) = info.generation {
-                    summary = summary.int("generation", u64::from(g));
-                }
+                    .int("records_skipped", records_skipped)
+                    .int("generation", u64::from(g));
             }
             SnapshotOutcome::Fallback(kind) => {
+                let g = info.rejected_generation.unwrap_or_default();
                 eprintln!(
-                    "warning: snapshot {path}.snap unusable ({kind}); \
+                    "warning: snapshot generation {g} ({path}.snap.{g}) unusable ({kind}); \
                      falling back to full redo replay"
                 );
                 summary = summary.text("snapshot", &format!("fallback:{kind}"));
@@ -835,18 +832,17 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
             on_io_error,
         };
         let snap_line = match opts.snapshot_every {
-            Some(dt) if snapshot_ring > 1 => format!(
+            Some(dt) => format!(
                 "snapshots     : every {dt:.2} virtual time -> {path}.snap.0..{} \
                  ({snapshot_ring}-generation ring{})",
                 snapshot_ring - 1,
                 if journal_gc { ", journal gc" } else { "" }
             ),
-            Some(dt) => format!("snapshots     : every {dt:.2} virtual time -> {path}.snap"),
             None => "snapshots     : disabled (fsync-every-record farms)".to_string(),
         };
         let (report, stats) = Farm::new(config, bag)
             .map_err(|e| e.to_string())?
-            .run_journaled_with(&path, opts)
+            .run_journaled_vfs(Path::new(&path), opts, &StdVfs)
             .map_err(|e| e.to_string())?;
         durable_lines.push(format!(
             "journal       : {} records, {} fsyncs ({cadence}) -> {path}",

@@ -2,14 +2,14 @@
 //! regression diffs over `--trace-out` JSONL files and `BENCH.json`
 //! baselines, and time-travel replay over journals. Thin shell over
 //! `cs_obs::{analyze_lines, check_lines, diff_registries, diff_bench}`
-//! and `cs_now::{Farm::replay_to, Farm::fork_from_snapshot}`; all the
+//! and `cs_now::{Farm::replay_to_from, Farm::fork_from_snapshot}`; all the
 //! logic (and its tests) lives in the libraries.
 
 use crate::args::Args;
 use crate::{farm_scenario_from_args, FarmScenario, FARM_SCENARIO_OPTS};
 use cs_apps::{fmt, fmt_opt, Table};
 use cs_now::farm::Farm;
-use cs_now::{default_snapshot_path, ring_snapshot_path};
+use cs_now::{inspect_snapshot, ring_snapshot_path};
 use cs_obs::{
     analyze_lineage_lines, analyze_lines, check_text, diff_bench, diff_registries, DiffRow,
     LineageAnalysis, PhaseAttribution, TraceAnalysis,
@@ -63,16 +63,16 @@ usage:
         scenario flags (--workstations, --tasks, --seed, --faults, ...)
         must match the run that wrote the journal.
     cyclesteal obs replay --journal <file> --fork [scenario flags]
-        What-if fork: restore <file>.snap and run the rest of the episode
+        What-if fork: restore the newest retained snapshot generation
+        <file>.snap.<g> and run the rest of the episode
         under the scenario the flags describe. Pass the original flags to
         reproduce the recorded outcome bitwise; perturb the fault flags
         (--faults, --loss, --slowdown, --crash) to ask what the same
         mid-run state would have done under different conditions.
         Both replay forms accept --generation <g> to pin the snapshot to
-        ring generation <file>.snap.<g> (runs journaled with
-        --snapshot-ring) instead of the newest usable snapshot; a
-        GC-truncated journal replays from a retained generation
-        automatically.";
+        ring generation <file>.snap.<g>; without it, --to replays from the
+        run's start (or, on a GC-truncated journal, from the oldest
+        retained generation).";
 
 /// Entry point: `args` is everything after the `obs` token. Returns
 /// `Err` (non-zero exit) on usage errors, check violations, and flagged
@@ -148,24 +148,26 @@ fn cmd_replay(rest: &[String]) -> Result<(), String> {
             state.completed_work, state.lost_work
         );
     } else {
-        let snap = match generation {
-            Some(g) => ring_snapshot_path(Path::new(&journal), g),
-            None => default_snapshot_path(Path::new(&journal)),
+        // Without --generation, fork the newest retained generation.
+        let g = match generation {
+            Some(g) => g,
+            None => (0..64)
+                .filter_map(|g| {
+                    let meta = inspect_snapshot(ring_snapshot_path(Path::new(&journal), g)).ok()?;
+                    Some((meta.journal_records, g))
+                })
+                .max()
+                .map(|(_, g)| g)
+                .ok_or_else(|| format!("obs replay: no snapshot generation next to {journal}"))?,
         };
+        let snap = ring_snapshot_path(Path::new(&journal), g);
         let (report, meta) =
             Farm::fork_from_snapshot(config, &snap).map_err(|e| format!("obs replay: {e}"))?;
-        match generation {
-            Some(g) => println!(
-                "fork point    : {} (generation {g}, virtual time {:.2})",
-                snap.display(),
-                meta.virtual_time
-            ),
-            None => println!(
-                "fork point    : {} (virtual time {:.2})",
-                snap.display(),
-                meta.virtual_time
-            ),
-        }
+        println!(
+            "fork point    : {} (generation {g}, virtual time {:.2})",
+            snap.display(),
+            meta.virtual_time
+        );
         println!(
             "snapshot      : seed {}, {} workstations, {} tasks, {} journal records",
             meta.seed, meta.workstations, meta.tasks, meta.journal_records

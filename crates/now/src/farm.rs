@@ -757,7 +757,7 @@ impl Engine {
 }
 
 /// The farm simulator. Construct with [`Farm::new`], then [`Farm::run`]
-/// (or the durable [`Farm::run_journaled`] / [`Farm::resume`] pair in
+/// (or the durable [`Farm::run_journaled_vfs`] / [`Farm::resume_vfs`] pair in
 /// [`crate::journal`]).
 pub struct Farm {
     pub(crate) config: FarmConfig,

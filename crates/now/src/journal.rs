@@ -1,46 +1,43 @@
 //! Durable episodes: journaled farm runs and crash recovery.
 //!
-//! [`Farm::run_journaled`] runs the virtual-time farm with every master
-//! state transition written to a [`cs_obs::JournalWriter`] — the same v2
-//! JSONL stream [`Farm::run_observed`] emits, made durable with
-//! fsync-on-commit. If the master dies (power cut, OOM kill, `--kill-after`
-//! in the chaos harness), [`Farm::resume`] picks the episode back up from
-//! the journal and the final [`FarmReport`] is **bitwise identical** to the
-//! uninterrupted run.
+//! [`Farm::run_journaled_vfs`] runs the virtual-time farm with every
+//! master state transition written to a [`cs_obs::JournalWriter`] — the
+//! same v2 JSONL stream [`Farm::run_observed`] emits, made durable with
+//! fsync-on-commit. If the master dies (power cut, OOM kill,
+//! `--kill-after` in the chaos harness), [`Farm::resume_vfs`] picks the
+//! episode back up from the journal and the final [`FarmReport`] is
+//! **bitwise identical** to the uninterrupted run. [`Farm::replay_to_from`]
+//! reconstructs the master's state at any committed record, read-only.
 //!
-//! # Recovery by deterministic redo
+//! # One recovery path: restore, then verify the tail
 //!
 //! The farm is a deterministic function of `(FarmConfig, TaskBag)`: the
 //! seed fixes the master RNG and every per-workstation fault stream, and
-//! the event queue breaks ties totally. Rather than snapshotting live
-//! master state (the lease table, the policy's internal state behind
-//! `Box<dyn ChunkPolicy>`, the RNG cursors), resume **re-runs the seeded
-//! engine** and verifies it against the journal: each regenerated event is
-//! string-compared with the corresponding journal record, and once the
-//! committed prefix is exhausted the sink switches to appending (and
-//! fsyncing) new records. Any divergence — wrong config, wrong seed, a
-//! different task bag, corrupted journal — is a typed [`JournalError`],
-//! never a silently different answer. Bitwise equality of the resumed
-//! report is then true by construction *and* independently enforced by the
-//! chaos harness in `cs-bench`.
+//! the event queue breaks ties totally. Recovery therefore restores a
+//! *start state*, re-runs the seeded engine from there, and
+//! string-compares each regenerated event with the committed record it
+//! should reproduce. Any divergence — wrong config, wrong seed, a
+//! different task bag, a corrupted journal — is a typed [`JournalError`],
+//! never a silently different answer.
+//!
+//! The start states are the snapshot ring's generations (see
+//! [`crate::snapshot`]) plus **⊥**, the run's initial state
+//! (`FarmRun::start`, bound to zero records at the empty FNV hash). Each
+//! is bound to the records on disk (record count plus running FNV-1a
+//! hash, extended from the segment base once GC has truncated the
+//! prefix); one that does not load, bind or restore is rejected with a
+//! typed reason. Full redo is "restore ⊥, replay the whole journal", and a
+//! fresh run is "restore ⊥, replay nothing, append". Resume takes the
+//! newest start state and appends (and fsyncs) after the verified tail;
+//! time travel takes the oldest one (or a pinned generation) and steps
+//! read-only. Snapshots are advisory: when every generation is rejected,
+//! resume reports [`SnapshotOutcome::Fallback`] and restores ⊥ — slower,
+//! never wrong. Once GC has cut record zero, ⊥ no longer binds, and an
+//! unusable ring is a typed [`JournalError::SegmentUnrecoverable`].
 //!
 //! A torn final record (the crash landed mid-write) is detected by
-//! [`cs_obs::read_journal`], discarded, and the file truncated to the last
-//! complete record before appending resumes.
-//!
-//! # Snapshots: O(snapshot-interval) recovery
-//!
-//! Full redo replay costs time proportional to the whole journaled run.
-//! Journaled runs therefore also write periodic state snapshots (see
-//! [`crate::snapshot`]) to a sidecar next to the journal, and resume first
-//! tries the sidecar: restore the captured state, verify and replay only
-//! the records *after* the snapshot, then append — recovery cost drops to
-//! O(snapshot interval), independent of run length. The sidecar is
-//! advisory: if it is missing, corrupt, truncated past the journal, for a
-//! different farm, or fails any checksum, resume reports a typed
-//! [`SnapshotOutcome::Fallback`] and silently degrades to full redo — the
-//! answer is never wrong, only slower. Equally, a failed snapshot *write*
-//! never kills a healthy run; snapshotting just stops.
+//! [`cs_obs::read_journal_with`], discarded, and the file truncated to
+//! the last complete record before appending resumes.
 //!
 //! # The paper picks its own checkpoint period
 //!
@@ -58,9 +55,8 @@
 
 use crate::farm::{Farm, FarmConfig, FarmConfigError, FarmReport, FarmRun};
 use crate::snapshot::{
-    default_snapshot_path, fnv1a64, ring_snapshot_path, segment_meta_path, tmp_path,
-    write_atomic_bytes, FarmSnapshot, SegmentMeta, SnapshotError, SnapshotErrorKind,
-    SnapshotOutcome, FNV_OFFSET,
+    fnv1a64, ring_snapshot_path, segment_meta_path, tmp_path, write_atomic_bytes, FarmSnapshot,
+    SegmentMeta, SnapshotError, SnapshotOutcome, FNV_OFFSET,
 };
 use cs_obs::vfs::{StdVfs, Vfs};
 use cs_obs::{
@@ -98,7 +94,7 @@ impl std::fmt::Display for IoErrorPolicy {
     }
 }
 
-/// Knobs for [`Farm::run_journaled_with`].
+/// Knobs for [`Farm::run_journaled_vfs`] and [`Farm::resume_vfs`].
 #[derive(Debug, Clone, Copy)]
 pub struct JournalOptions {
     /// When committed records are forced to stable storage.
@@ -108,7 +104,7 @@ pub struct JournalOptions {
     /// for SIGKILL used by `cyclesteal farm --kill-after` and CI.
     pub kill_after: Option<u64>,
     /// Virtual-time cadence for state snapshots written next to the journal
-    /// ([`default_snapshot_path`]); `None` disables them. With snapshots,
+    /// ([`ring_snapshot_path`]); `None` disables them. With snapshots,
     /// resume re-executes only the journal tail after the last snapshot —
     /// O(snapshot interval) instead of O(run length).
     pub snapshot_every: Option<f64>,
@@ -117,18 +113,18 @@ pub struct JournalOptions {
     /// emits one per event step (tests). Heartbeats never touch the journal
     /// itself, so journaled bytes stay identical with or without them.
     pub progress_every: Option<f64>,
-    /// Size of the snapshot generation ring. `1` (the default) keeps the
-    /// legacy single `<journal>.snap` sidecar; `N ≥ 2` cycles checksummed
-    /// generations `<journal>.snap.0 .. .snap.N-1`, giving resume several
-    /// restore points to walk newest→oldest.
+    /// Size of the snapshot generation ring: snapshots cycle through the
+    /// checksummed generations `<journal>.snap.0 .. .snap.N-1`, giving
+    /// resume N restore points to walk newest→oldest. The default is one
+    /// generation.
     pub snapshot_ring: u32,
     /// Journal-prefix garbage collection: once every ring generation
     /// exists, records the *oldest retained* snapshot makes redundant are
     /// truncated from the front of the journal (atomic segment rotation,
     /// see [`SegmentMeta`]), bounding the journal's disk footprint at
     /// roughly N snapshot intervals. Requires `snapshot_ring ≥ 2`; after
-    /// GC, resume must restore through the ring (redo-from-zero history is
-    /// gone by design).
+    /// GC, resume must restore through the ring (⊥ no longer binds once
+    /// record zero is gone).
     pub gc: bool,
     /// What to do when journal I/O starts failing mid-run.
     pub on_io_error: IoErrorPolicy,
@@ -161,7 +157,7 @@ impl JournalOptions {
     }
 }
 
-/// Durability counters reported by [`Farm::run_journaled`] — the
+/// Durability counters reported by [`Farm::run_journaled_vfs`] — the
 /// journal-level [`cs_obs::JournalStats`] extended with snapshot-ring and
 /// GC accounting.
 #[derive(Debug, Clone, Copy, Default)]
@@ -181,7 +177,7 @@ pub struct DurableStats {
     pub degraded: bool,
 }
 
-/// What [`Farm::resume`] did to finish the episode.
+/// What [`Farm::resume_vfs`] did to finish the episode.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryInfo {
     /// Committed records replayed and verified against the journal (when a
@@ -191,12 +187,15 @@ pub struct RecoveryInfo {
     pub records_appended: u64,
     /// Bytes of torn final record discarded before appending.
     pub torn_bytes_discarded: u64,
-    /// Whether the snapshot sidecar restored, was absent, or was rejected
-    /// (and recovery fell back to full redo replay).
+    /// Whether a snapshot generation restored, none was present, or every
+    /// one was rejected (and recovery fell back to full redo from ⊥).
     pub snapshot: SnapshotOutcome,
-    /// Ring generation the restored snapshot came from (`None` for the
-    /// legacy un-numbered sidecar, or when no snapshot restored).
+    /// Ring generation the restored snapshot came from (`None` when
+    /// recovery restored ⊥).
     pub generation: Option<u32>,
+    /// The last ring generation rejected on the way to the restore point;
+    /// its reason is the one [`SnapshotOutcome::Fallback`] carries.
+    pub rejected_generation: Option<u32>,
     /// Records truncated by GC before this journal segment (0 for a
     /// whole, un-GC'd journal).
     pub segment_base: u64,
@@ -370,24 +369,26 @@ pub fn guideline_snapshot_interval(config: &FarmConfig) -> Option<f64> {
     }
 }
 
-/// The sink driving a journaled (or resuming) run: verifies replayed
-/// events against the committed prefix, then appends; optionally pulls the
-/// kill switch for the chaos harness.
+/// The sink driving every journaled run, resume and replay: verifies
+/// regenerated events against the committed tail, then appends through
+/// the writer — or, with no writer (time travel), ignores them; optionally
+/// pulls the kill switch for the chaos harness.
 struct JournalSink {
-    writer: JournalWriter,
-    /// Committed records to verify against (empty for a fresh run; for a
-    /// snapshot restore, only the tail after the snapshot).
-    prefix: Vec<String>,
-    /// Records of the prefix verified so far.
+    writer: Option<JournalWriter>,
+    /// Committed records to verify against, after the start state (empty
+    /// for a fresh run).
+    tail: Vec<String>,
+    /// Records of the tail verified so far.
     pos: u64,
-    /// Committed records *before* the prefix — skipped via a snapshot
-    /// restore instead of replayed. Zero for fresh runs and full redo.
+    /// Committed records *before* the tail — covered by the restored start
+    /// state instead of replayed. Zero for ⊥.
     base: u64,
     /// Running FNV-1a 64 over every committed record's bytes (line + `\n`),
     /// from the start of the journal; snapshots bind to it.
     hash: u64,
     /// First replay/journal mismatch, latched (the run itself cannot be
-    /// stopped mid-flight; the caller turns this into an error).
+    /// stopped mid-flight; [`JournalSink::verdict`] turns this into an
+    /// error).
     diverged: Option<(u64, String, String)>,
     kill_after: Option<u64>,
     /// Records / syncs written by writers retired across GC segment
@@ -397,28 +398,62 @@ struct JournalSink {
 }
 
 impl JournalSink {
-    fn new(
-        writer: JournalWriter,
-        prefix: Vec<String>,
-        base: u64,
-        hash: u64,
-        opts: &JournalOptions,
-    ) -> Self {
+    fn new(writer: Option<JournalWriter>, tail: Vec<String>, base: u64, hash: u64) -> Self {
         Self {
             writer,
-            prefix,
+            tail,
             pos: 0,
             base,
             hash,
             diverged: None,
-            kill_after: opts.kill_after,
+            kill_after: None,
             flushed_records: 0,
             flushed_syncs: 0,
         }
     }
 
     fn committed(&self) -> u64 {
-        self.base + self.pos + self.flushed_records + self.writer.records()
+        let live = self.writer.as_ref().map_or(0, JournalWriter::records);
+        self.base + self.pos + self.flushed_records + live
+    }
+
+    fn io_error(&self) -> Option<&std::io::Error> {
+        self.writer.as_ref()?.io_error()
+    }
+
+    /// Final-syncs and retires the writer, folding its counters into the
+    /// flushed totals; later emits are swallowed until a new writer is
+    /// installed.
+    fn retire(&mut self) -> Option<std::io::Error> {
+        let (stats, err) = self
+            .writer
+            .take()
+            .map(|mut w| w.finish_parts())
+            .unwrap_or_default();
+        self.flushed_records += stats.records;
+        self.flushed_syncs += stats.syncs;
+        err
+    }
+
+    /// The replay's verdict once the run has been stepped as far as it
+    /// goes: the first divergence, or [`JournalError::JournalAhead`] when
+    /// fewer than `want` committed records were reproduced.
+    fn verdict(&mut self, want: u64) -> Result<(), JournalError> {
+        if let Some((record, journal, replayed)) = self.diverged.take() {
+            return Err(JournalError::Diverged {
+                record: self.base + record,
+                journal,
+                replayed,
+            });
+        }
+        let verified = self.base + self.pos;
+        if verified < want {
+            return Err(JournalError::JournalAhead {
+                journal_records: want,
+                replayed: verified,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -428,15 +463,15 @@ impl EventSink for JournalSink {
             return;
         }
         let line = event.to_jsonl();
-        if (self.pos as usize) < self.prefix.len() {
-            let expected = &self.prefix[self.pos as usize];
+        if (self.pos as usize) < self.tail.len() {
+            let expected = &self.tail[self.pos as usize];
             if *expected != line {
                 self.diverged = Some((self.pos + 1, expected.clone(), line));
                 return;
             }
             self.pos += 1;
-        } else {
-            self.writer.emit(event);
+        } else if let Some(w) = self.writer.as_mut() {
+            w.emit(event);
         }
         self.hash = fnv1a64(self.hash, line.as_bytes());
         self.hash = fnv1a64(self.hash, b"\n");
@@ -445,48 +480,36 @@ impl EventSink for JournalSink {
                 // Deterministic SIGKILL stand-in: make sure every committed
                 // record is on stable storage, leave a genuine torn tail,
                 // and die without unwinding.
-                self.writer.flush_sink();
-                self.writer.write_raw(b"{\"v\":2,\"t\":");
+                if let Some(w) = self.writer.as_mut() {
+                    w.flush_sink();
+                    w.write_raw(b"{\"v\":2,\"t\":");
+                }
                 std::process::abort();
             }
         }
     }
 
     fn flush_sink(&mut self) {
-        self.writer.flush_sink();
+        if let Some(w) = self.writer.as_mut() {
+            w.flush_sink();
+        }
     }
 }
 
 impl Farm {
     /// [`Farm::run_observed`] with the event stream written as a durable
-    /// write-ahead journal at `path`, fsynced on the
-    /// [`guideline_fsync_policy`] cadence. The journal is strictly
-    /// pass-through: the returned [`FarmReport`] is bit-identical to
-    /// [`Farm::run`] for the same configuration. If the process dies
-    /// mid-run, [`Farm::resume`] with the same `(config, bag)` finishes
-    /// the episode.
-    pub fn run_journaled(
-        self,
-        path: impl AsRef<Path>,
-    ) -> Result<(FarmReport, DurableStats), JournalError> {
-        let opts = JournalOptions::guideline(&self.config);
-        self.run_journaled_with(path, opts)
-    }
-
-    /// [`Farm::run_journaled`] with explicit fsync policy, snapshot
-    /// cadence/ring, prefix GC, I/O-error policy, and the chaos kill
-    /// switch.
-    pub fn run_journaled_with(
-        self,
-        path: impl AsRef<Path>,
-        opts: JournalOptions,
-    ) -> Result<(FarmReport, DurableStats), JournalError> {
-        self.run_journaled_vfs(path.as_ref(), opts, &StdVfs)
-    }
-
-    /// [`Farm::run_journaled_with`] against an explicit [`Vfs`] — the
-    /// injection point the disk-fault chaos harness drives with
-    /// [`cs_obs::FaultyVfs`].
+    /// write-ahead journal at `path` through `vfs` (the injection point the
+    /// disk-fault chaos harness drives with [`cs_obs::FaultyVfs`]; pass
+    /// [`StdVfs`] for the real filesystem), with the fsync policy,
+    /// snapshot cadence/ring, prefix GC, I/O-error policy and chaos kill
+    /// switch of `opts` ([`JournalOptions::guideline`] is the §4.2
+    /// cadence). The journal is strictly pass-through: the returned
+    /// [`FarmReport`] is bit-identical to [`Farm::run`] for the same
+    /// configuration. If the process dies mid-run, [`Farm::resume_vfs`]
+    /// with the same `(config, bag)` finishes the episode.
+    ///
+    /// A fresh run is recovery with nothing to recover: restore ⊥, verify
+    /// an empty tail, append.
     pub fn run_journaled_vfs(
         self,
         path: &Path,
@@ -495,63 +518,32 @@ impl Farm {
     ) -> Result<(FarmReport, DurableStats), JournalError> {
         sweep_stale(vfs, path, true);
         let writer = JournalWriter::create_with(vfs, path, opts.fsync)?;
-        let mut sink = JournalSink::new(writer, Vec::new(), 0, FNV_OFFSET, &opts);
-        let mut ctx = DriveCtx::fresh(vfs, path, &opts);
-        let mut prof = SpanProfiler::disabled();
-        let run = FarmRun::start(self, &mut sink, &mut prof);
-        let report = drive(run, &mut sink, &mut prof, &mut ctx, opts.progress_every)?;
-        let stats = finish_stats(sink, ctx)?;
-        Ok((report, stats))
+        Recovery::bottom(self).resume(vfs, path, &opts, writer)
     }
 
     /// Resumes a journaled run that died mid-episode.
     ///
     /// `config` and `bag` must be exactly what the original
-    /// [`Farm::run_journaled`] was given — the journal records the run's
-    /// transitions, not its inputs, and recovery replays the seeded engine
-    /// against the committed prefix (see the module docs). A torn final
+    /// [`Farm::run_journaled_vfs`] was given — the journal records the
+    /// run's transitions, not its inputs, and recovery replays the seeded
+    /// engine against the committed records (see the module docs).
+    /// Recovery restores the newest start state that binds to the
+    /// journal — a ring generation, else ⊥ on a whole journal — and
+    /// verifies only the records after it. A torn final
     /// record is discarded; the journal is then extended in place, ending
     /// with the same bytes an uninterrupted journaled run would have
     /// written, and the returned [`FarmReport`] is bitwise identical to
     /// that run's. Resuming a journal that already holds a complete run
-    /// verifies it end to end and appends nothing.
+    /// verifies it and appends nothing. `opts.kill_after` counts total
+    /// committed records (skipped + replayed + appended), so a chaos run
+    /// can kill the master again at a later boundary.
     ///
     /// Mismatched inputs surface as [`JournalError::HeaderMismatch`] (seed,
     /// workstation count or task count differ) or
-    /// [`JournalError::Diverged`] / [`JournalError::JournalAhead`] (anything
-    /// subtler).
-    pub fn resume(
-        config: FarmConfig,
-        bag: cs_tasks::TaskBag,
-        path: impl AsRef<Path>,
-    ) -> Result<(FarmReport, RecoveryInfo), JournalError> {
-        let opts = JournalOptions::guideline(&config);
-        Self::resume_with(config, bag, path, opts)
-    }
-
-    /// [`Farm::resume`] with explicit fsync/snapshot cadences and the chaos
-    /// kill switch: `kill_after` counts total committed records (skipped +
-    /// replayed + appended), so a chaos run can kill the master again at a
-    /// later boundary.
-    pub fn resume_with(
-        config: FarmConfig,
-        bag: cs_tasks::TaskBag,
-        path: impl AsRef<Path>,
-        opts: JournalOptions,
-    ) -> Result<(FarmReport, RecoveryInfo), JournalError> {
-        Self::resume_vfs(config, bag, path.as_ref(), opts, &StdVfs)
-    }
-
-    /// [`Farm::resume_with`] against an explicit [`Vfs`].
-    ///
-    /// Recovery walks the snapshot generation ring newest→oldest: the
-    /// first sidecar that both binds to the surviving journal (record
-    /// count + running FNV-1a hash, extended from the segment base when GC
-    /// has truncated the prefix) and restores wins. A whole journal whose
-    /// ring is entirely unusable falls back to full redo replay; a GC'd
-    /// segment in the same situation is a typed
-    /// [`JournalError::SegmentUnrecoverable`] — redo history is gone by
-    /// design, and no answer beats a silently wrong one.
+    /// [`JournalError::Diverged`] / [`JournalError::JournalAhead`]
+    /// (anything subtler). A GC'd segment whose ring is entirely unusable
+    /// is a typed [`JournalError::SegmentUnrecoverable`] — redo history is
+    /// gone by design, and no answer beats a silently wrong one.
     pub fn resume_vfs(
         config: FarmConfig,
         bag: cs_tasks::TaskBag,
@@ -559,208 +551,44 @@ impl Farm {
         opts: JournalOptions,
         vfs: &dyn Vfs,
     ) -> Result<(FarmReport, RecoveryInfo), JournalError> {
-        let ring = opts.snapshot_ring.clamp(1, RING_SCAN);
         sweep_stale(vfs, path, false);
-        let restore_config = config.clone();
-        let farm = Farm::new(config, bag)?;
-        let journal = read_journal_with(vfs, path)?;
-        let torn_bytes = journal.torn_bytes;
-        let expected_header = header_line(&farm);
-
-        // Where does this file start? After GC the journal is a *segment*
-        // whose truncated prefix is described by the `.seg` sidecar (or,
-        // if a crash caught GC between the two renames, inferred from the
-        // ring itself).
-        let seg = resolve_segment(vfs, path, &journal.records, &expected_header)?;
-        let (mut candidates, mut reject) = collect_candidates(vfs, path, &farm);
-        let (base, base_hash) = match seg {
-            SegmentBase::Whole => {
-                check_header(&farm, &journal.records)?;
-                (0, FNV_OFFSET)
-            }
-            SegmentBase::At { base, hash } => (base, hash),
-            SegmentBase::Hypothesis => {
-                let inferred =
-                    infer_segment_base(&candidates, &journal.records).ok_or_else(|| {
-                        JournalError::SegmentCorrupt {
-                            reason:
-                                "segment metadata is stale and no retained snapshot generation \
-                                 binds to the surviving journal"
-                                    .into(),
-                        }
-                    })?;
-                let meta = SegmentMeta::for_cut(
-                    inferred.0,
-                    inferred.1,
-                    journal.records.first().map(String::as_str),
+        let rec = open_recovery(vfs, path, Farm::new(config, bag)?, Pick::Newest)?;
+        if let Some(meta) = &rec.repair {
+            if meta.store(vfs, &segment_meta_path(path)).is_ok() {
+                eprintln!(
+                    "note: repaired stale segment metadata ({} records truncated)",
+                    meta.base_records
                 );
-                if meta.store(vfs, &segment_meta_path(path)).is_ok() {
-                    eprintln!(
-                        "note: repaired stale segment metadata ({} records truncated)",
-                        inferred.0
-                    );
-                }
-                inferred
             }
+        }
+        let writer = JournalWriter::append_at_with(vfs, path, rec.complete_bytes, opts.fsync)?;
+        let mut info = RecoveryInfo {
+            records_replayed: rec.tail.len() as u64,
+            ..rec.info
         };
-
-        // Bind each candidate to the records actually on disk, then walk
-        // newest→oldest; the first generation that binds *and* restores
-        // wins. Anything wrong degrades toward older generations — slower,
-        // never incorrect.
-        candidates.retain(|c| {
-            let r = c.snap.journal_records;
-            if r < base {
-                reject = Some(SnapshotErrorKind::JournalMismatch);
-                return false;
-            }
-            if r - base > journal.records.len() as u64 {
-                reject = Some(SnapshotErrorKind::JournalAhead);
-                return false;
-            }
-            if extend_hash(base_hash, &journal.records[..(r - base) as usize])
-                != c.snap.journal_hash
-            {
-                reject = Some(SnapshotErrorKind::JournalMismatch);
-                return false;
-            }
-            true
-        });
-        candidates.sort_by(|a, b| {
-            (b.snap.journal_records, b.generation).cmp(&(a.snap.journal_records, a.generation))
-        });
-        let mut ring_meta = vec![None; RING_SCAN as usize];
-        for c in &candidates {
-            if let Some(g) = c.generation {
-                ring_meta[g as usize] = Some((c.snap.journal_records, c.snap.journal_hash));
-            }
-        }
-        let next_gen = candidates
-            .iter()
-            .filter_map(|c| c.generation.map(|g| (c.snap.journal_records, g)))
-            .max()
-            .map_or(0, |(_, g)| (g + 1) % ring);
-
-        let mut outcome = match reject {
-            Some(kind) => SnapshotOutcome::Fallback(kind),
-            None => SnapshotOutcome::None,
-        };
-        let mut restored = None;
-        for c in candidates {
-            let (skipped, hash, at) = (c.snap.journal_records, c.snap.journal_hash, c.snap.now);
-            match c.snap.restore(restore_config.clone()) {
-                Ok(run) => {
-                    outcome = SnapshotOutcome::Used {
-                        records_skipped: skipped,
-                    };
-                    restored = Some((run, skipped, hash, at, c.generation));
-                    break;
-                }
-                Err(e) => outcome = SnapshotOutcome::Fallback(e.kind()),
-            }
-        }
-        if restored.is_none() && base > 0 {
-            return Err(JournalError::SegmentUnrecoverable {
-                base,
-                reason: match outcome {
-                    SnapshotOutcome::Fallback(kind) => {
-                        format!("every retained snapshot generation was rejected (last: {kind})")
-                    }
-                    _ => "no snapshot generation survives".into(),
-                },
-            });
-        }
-
-        let writer = JournalWriter::append_at_with(vfs, path, journal.complete_bytes, opts.fsync)?;
-        let mut prof = SpanProfiler::disabled();
-        let mut generation = None;
-        let (run, mut sink, last_snapshot) = match restored {
-            Some((run, skipped, hash, at, gen)) => {
-                generation = gen;
-                let prefix = journal.records[(skipped - base) as usize..].to_vec();
-                (
-                    run,
-                    JournalSink::new(writer, prefix, skipped, hash, &opts),
-                    at,
-                )
-            }
-            None => {
-                let mut sink = JournalSink::new(writer, journal.records, 0, FNV_OFFSET, &opts);
-                let run = FarmRun::start(farm, &mut sink, &mut prof);
-                (run, sink, 0.0)
-            }
-        };
-        let mut ctx = DriveCtx {
-            vfs,
-            path: path.to_path_buf(),
-            fsync: opts.fsync,
-            snapshot_every: opts.snapshot_every,
-            last_snapshot,
-            ring,
-            next_gen,
-            ring_meta,
-            gc: opts.gc,
-            on_io_error: opts.on_io_error,
-            seg_base: base,
-            stats: DurableStats::default(),
-            pending_error: None,
-        };
-        let report = drive(run, &mut sink, &mut prof, &mut ctx, opts.progress_every)?;
-        if let Some((record, journal_line, replayed)) = sink.diverged {
-            return Err(JournalError::Diverged {
-                record: sink.base + record,
-                journal: journal_line,
-                replayed,
-            });
-        }
-        let prefix_len = sink.prefix.len() as u64;
-        if sink.pos < prefix_len {
-            return Err(JournalError::JournalAhead {
-                journal_records: sink.base + prefix_len,
-                replayed: sink.base + sink.pos,
-            });
-        }
-        let stats = finish_stats(sink, ctx)?;
-        Ok((
-            report,
-            RecoveryInfo {
-                records_replayed: prefix_len,
-                records_appended: stats.records,
-                torn_bytes_discarded: torn_bytes,
-                snapshot: outcome,
-                generation,
-                segment_base: base,
-                degraded: stats.degraded,
-            },
-        ))
+        let (report, stats) = rec.resume(vfs, path, &opts, writer)?;
+        info.records_appended = stats.records;
+        info.degraded = stats.degraded;
+        Ok((report, info))
     }
 
     /// Time travel for post-mortems: reconstructs the master's state as of
     /// committed record `to` (clamped to the journal's length) by verified
     /// replay, and summarizes it. `config` and `bag` must be the journaled
-    /// run's inputs, exactly as for [`Farm::resume`]. The journal is only
-    /// read, never written.
+    /// run's inputs, exactly as for [`Farm::resume_vfs`]. The journal is
+    /// only read, never written.
+    ///
+    /// `generation` picks the start state: `Some(g)` restores
+    /// `<journal>.snap.<g>` and verifies only the tail after it, while
+    /// `None` starts from the oldest one — ⊥ on a whole journal, the
+    /// oldest retained generation once GC has truncated record zero. `to`
+    /// is clamped up to the start's record count: state earlier than a
+    /// retained generation is only reachable while the un-GC'd prefix
+    /// exists.
     ///
     /// Replay stops at the first event boundary at or past `to` — a single
     /// queue event can emit several records, and the engine's state is only
     /// meaningful between events.
-    pub fn replay_to(
-        config: FarmConfig,
-        bag: cs_tasks::TaskBag,
-        path: impl AsRef<Path>,
-        to: u64,
-    ) -> Result<ReplayState, JournalError> {
-        Self::replay_to_from(config, bag, path, to, None)
-    }
-
-    /// [`Farm::replay_to`] starting from a retained snapshot generation
-    /// instead of record zero: `Some(g)` restores `<journal>.snap.<g>`
-    /// and verifies only the tail after it, while `None` replays from
-    /// scratch on a whole journal and auto-selects the oldest retained
-    /// generation once GC has truncated the prefix. `to` is clamped up to
-    /// the starting snapshot's record count — state earlier than a
-    /// retained generation is only reachable while the un-GC'd prefix
-    /// exists.
     pub fn replay_to_from(
         config: FarmConfig,
         bag: cs_tasks::TaskBag,
@@ -768,154 +596,14 @@ impl Farm {
         to: u64,
         generation: Option<u32>,
     ) -> Result<ReplayState, JournalError> {
-        let path = path.as_ref();
-        let vfs: &dyn Vfs = &StdVfs;
-        let restore_config = config.clone();
-        let farm = Farm::new(config, bag)?;
-        let journal = read_journal_with(vfs, path)?;
-        let expected_header = header_line(&farm);
-        let seg = resolve_segment(vfs, path, &journal.records, &expected_header)?;
-        let (base, base_hash) = match seg {
-            SegmentBase::Whole => {
-                check_header(&farm, &journal.records)?;
-                (0, FNV_OFFSET)
-            }
-            SegmentBase::At { base, hash } => (base, hash),
-            SegmentBase::Hypothesis => {
-                let (candidates, _) = collect_candidates(vfs, path, &farm);
-                infer_segment_base(&candidates, &journal.records).ok_or_else(|| {
-                    JournalError::SegmentCorrupt {
-                        reason: "segment metadata is stale and no retained snapshot generation \
-                                 binds to the surviving journal"
-                            .into(),
-                    }
-                })?
-            }
-        };
-        let total_records = base + journal.records.len() as u64;
-        let to = to.min(total_records);
-
-        // Pick a starting snapshot: the explicit generation, or (on a GC'd
-        // segment) the oldest retained one — record zero is gone.
-        let bind = |snap: &FarmSnapshot| -> Result<(), String> {
-            let r = snap.journal_records;
-            if r < base || r - base > journal.records.len() as u64 {
-                return Err(format!(
-                    "snapshot at record {r} does not lie inside the journal segment \
-                     ({base}..{total_records})"
-                ));
-            }
-            if extend_hash(base_hash, &journal.records[..(r - base) as usize]) != snap.journal_hash
-            {
-                return Err(format!(
-                    "snapshot does not bind to the journal at record {r}"
-                ));
-            }
-            Ok(())
-        };
-        let start = match generation {
-            Some(g) => {
-                let p = ring_snapshot_path(path, g);
-                let snap = load_snapshot(vfs, &p, &farm).map_err(|e| JournalError::Generation {
-                    generation: g,
-                    reason: e.to_string(),
-                })?;
-                bind(&snap).map_err(|reason| JournalError::Generation {
-                    generation: g,
-                    reason,
-                })?;
-                Some(snap)
-            }
-            None if base > 0 => {
-                let (candidates, _) = collect_candidates(vfs, path, &farm);
-                let snap = candidates
-                    .into_iter()
-                    .map(|c| c.snap)
-                    .filter(|s| bind(s).is_ok())
-                    .min_by_key(|s| s.journal_records)
-                    .ok_or_else(|| JournalError::SegmentUnrecoverable {
-                        base,
-                        reason: "no retained snapshot generation binds to the surviving journal"
-                            .into(),
-                    })?;
-                Some(snap)
-            }
-            None => None,
-        };
-
-        let mut prof = SpanProfiler::disabled();
-        let mut sink = VerifySink {
-            prefix: &journal.records,
-            pos: 0,
-            diverged: None,
-        };
-        let (mut run, skipped) = match start {
-            Some(snap) => {
-                let r = snap.journal_records;
-                let run = snap.restore(restore_config).map_err(|e| match generation {
-                    Some(g) => JournalError::Generation {
-                        generation: g,
-                        reason: e.to_string(),
-                    },
-                    None => JournalError::SegmentUnrecoverable {
-                        base,
-                        reason: e.to_string(),
-                    },
-                })?;
-                sink.prefix = &journal.records[(r - base) as usize..];
-                (run, r)
-            }
-            None => (FarmRun::start(farm, &mut sink, &mut prof), 0),
-        };
-        let to = to.max(skipped);
-        let mut ended = false;
-        while skipped + sink.pos < to {
-            if !run.step(&mut sink, &mut prof) {
-                ended = true;
-                break;
-            }
-        }
-        // Summarize before `finish` consumes the run; the trailing
-        // `run_end` record is only emitted by `finish`, so a replay to the
-        // journal's end still needs it for verification.
-        let stats = || run.states.stats.iter();
-        let state = ReplayState {
-            records: 0, // patched below, after finish
-            total_records,
-            virtual_time: run.now,
-            pending_tasks: run.eng.bag.pending_count() as u64,
-            banked_tasks: run.eng.banked.len() as u64,
-            in_flight_chunks: run.eng.in_flight.len() as u64,
-            completed_work: stats().map(|s| s.completed_work).sum(),
-            lost_work: stats().map(|s| s.lost_work).sum(),
-            episodes: stats().map(|s| s.episodes).sum(),
-        };
-        if ended && skipped + sink.pos < to {
-            run.finish(&mut sink, &mut prof);
-        }
-        if let Some((record, journal_line, replayed)) = sink.diverged {
-            return Err(JournalError::Diverged {
-                record: skipped + record,
-                journal: journal_line,
-                replayed,
-            });
-        }
-        if skipped + sink.pos < to {
-            return Err(JournalError::JournalAhead {
-                journal_records: to,
-                replayed: skipped + sink.pos,
-            });
-        }
-        Ok(ReplayState {
-            records: skipped + sink.pos,
-            ..state
-        })
+        let pick = generation.map_or(Pick::Oldest, Pick::Generation);
+        open_recovery(&StdVfs, path.as_ref(), Farm::new(config, bag)?, pick)?.replay_to(to)
     }
 }
 
 /// A journaled run's master state reconstructed at a record boundary by
-/// [`Farm::replay_to`]: "what did the farm look like when record N was
-/// written?".
+/// [`Farm::replay_to_from`]: "what did the farm look like when record N
+/// was written?".
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayState {
     /// Committed records reproduced (== the requested record, unless the
@@ -984,7 +672,7 @@ struct DriveCtx<'v> {
     fsync: FsyncPolicy,
     snapshot_every: Option<f64>,
     last_snapshot: f64,
-    /// Ring size (1 = legacy single sidecar).
+    /// Ring size.
     ring: u32,
     /// Ring slot the next snapshot lands in.
     next_gen: u32,
@@ -998,34 +686,6 @@ struct DriveCtx<'v> {
     /// An I/O failure detected outside the writer (GC rotation, reopen),
     /// waiting for the policy check.
     pending_error: Option<std::io::Error>,
-}
-
-impl<'v> DriveCtx<'v> {
-    fn fresh(vfs: &'v dyn Vfs, path: &Path, opts: &JournalOptions) -> Self {
-        Self {
-            vfs,
-            path: path.to_path_buf(),
-            fsync: opts.fsync,
-            snapshot_every: opts.snapshot_every,
-            last_snapshot: 0.0,
-            ring: opts.snapshot_ring.clamp(1, RING_SCAN),
-            next_gen: 0,
-            ring_meta: vec![None; RING_SCAN as usize],
-            gc: opts.gc,
-            on_io_error: opts.on_io_error,
-            seg_base: 0,
-            stats: DurableStats::default(),
-            pending_error: None,
-        }
-    }
-
-    fn slot_path(&self, generation: u32) -> PathBuf {
-        if self.ring <= 1 {
-            default_snapshot_path(&self.path)
-        } else {
-            ring_snapshot_path(&self.path, generation)
-        }
-    }
 }
 
 /// The journaled-run event loop: step the farm to completion, capturing a
@@ -1052,10 +712,10 @@ fn drive(
                 // journal does not hold — and never snapshot over a disk
                 // that is already failing.
                 sink.flush_sink();
-                if sink.writer.io_error().is_none() && ctx.pending_error.is_none() {
+                if sink.io_error().is_none() && ctx.pending_error.is_none() {
                     let snap = run.save_state(sink.committed(), sink.hash);
                     let gen = ctx.next_gen;
-                    match snap.write_atomic_with(ctx.vfs, &ctx.slot_path(gen)) {
+                    match snap.write_atomic(ctx.vfs, &ring_snapshot_path(&ctx.path, gen)) {
                         Ok(()) => {
                             ctx.stats.snapshots_written += 1;
                             ctx.ring_meta[gen as usize] =
@@ -1089,7 +749,7 @@ fn drive(
 /// failure: fail-stop turns it into a typed error at this event boundary;
 /// degrade warns once, stops snapshotting/GC, and keeps computing.
 fn check_io(sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) -> Result<(), JournalError> {
-    if ctx.pending_error.is_none() && sink.writer.io_error().is_none() {
+    if ctx.pending_error.is_none() && sink.io_error().is_none() {
         return Ok(());
     }
     match ctx.on_io_error {
@@ -1097,7 +757,7 @@ fn check_io(sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) -> Result<(), Journa
             let err = ctx
                 .pending_error
                 .take()
-                .or_else(|| sink.writer.finish_parts().1)
+                .or_else(|| sink.retire())
                 .unwrap_or_else(|| std::io::Error::other("journal I/O failed"));
             Err(JournalError::Io(err))
         }
@@ -1106,7 +766,7 @@ fn check_io(sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) -> Result<(), Journa
                 let msg = ctx
                     .pending_error
                     .as_ref()
-                    .or_else(|| sink.writer.io_error())
+                    .or_else(|| sink.io_error())
                     .map(|e| e.to_string())
                     .unwrap_or_default();
                 eprintln!(
@@ -1131,8 +791,8 @@ fn check_io(sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) -> Result<(), Journa
 /// ring ([`infer_segment_base`]). GC failures are advisory: the journal is
 /// left whole and the run carries on.
 fn gc_rotate(sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) {
-    if ctx.ring < 2 || (sink.pos as usize) < sink.prefix.len() {
-        return; // never GC while replaying an unverified prefix
+    if ctx.ring < 2 || (sink.pos as usize) < sink.tail.len() {
+        return; // never GC while replaying an unverified tail
     }
     // The slot the next snapshot overwrites holds the oldest retained
     // generation; its record count is the cut.
@@ -1143,7 +803,7 @@ fn gc_rotate(sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) {
         return;
     }
     sink.flush_sink();
-    if sink.writer.io_error().is_some() {
+    if sink.io_error().is_some() {
         return; // the policy check at the loop top deals with it
     }
     let bytes = match ctx.vfs.read(&ctx.path) {
@@ -1161,10 +821,7 @@ fn gc_rotate(sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) {
     let suffix = bytes[offset..].to_vec();
     // Retire the live writer before the rename: on POSIX it would keep
     // appending to the unlinked old inode.
-    let (wstats, werr) = sink.writer.finish_parts();
-    sink.flushed_records += wstats.records;
-    sink.flushed_syncs += wstats.syncs;
-    if let Some(e) = werr {
+    if let Some(e) = sink.retire() {
         ctx.pending_error = Some(e);
     }
     let reopen_len = match write_atomic_bytes(ctx.vfs, &ctx.path, &suffix) {
@@ -1192,10 +849,10 @@ fn gc_rotate(sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) {
         }
     };
     match JournalWriter::append_at_with(ctx.vfs, &ctx.path, reopen_len, ctx.fsync) {
-        Ok(w) => sink.writer = w,
+        Ok(w) => sink.writer = Some(w),
         Err(e) => {
-            // The retired writer stays in place (it swallows further
-            // emits); the policy check decides fail-stop vs degrade.
+            // With no writer the sink swallows further emits; the policy
+            // check decides fail-stop vs degrade.
             if ctx.pending_error.is_none() {
                 ctx.pending_error = Some(e);
             }
@@ -1222,7 +879,7 @@ fn finish_stats(
     mut sink: JournalSink,
     mut ctx: DriveCtx<'_>,
 ) -> Result<DurableStats, JournalError> {
-    let (wstats, werr) = sink.writer.finish_parts();
+    let werr = sink.retire();
     if let Some(e) = ctx.pending_error.take().or(werr) {
         match ctx.on_io_error {
             IoErrorPolicy::FailStop => return Err(JournalError::Io(e)),
@@ -1238,8 +895,8 @@ fn finish_stats(
         }
     }
     Ok(DurableStats {
-        records: sink.flushed_records + wstats.records,
-        syncs: sink.flushed_syncs + wstats.syncs,
+        records: sink.flushed_records,
+        syncs: sink.flushed_syncs,
         ..ctx.stats
     })
 }
@@ -1249,10 +906,9 @@ fn finish_stats(
 /// any previous incarnation of this journal path, so resume never sees
 /// another run's ring.
 fn sweep_stale(vfs: &dyn Vfs, path: &Path, fresh: bool) {
-    let snap = default_snapshot_path(path);
     let seg = segment_meta_path(path);
-    let mut tmps = vec![tmp_path(path), tmp_path(&snap), tmp_path(&seg)];
-    let mut sidecars = vec![snap, seg];
+    let mut tmps = vec![tmp_path(path), tmp_path(&seg)];
+    let mut sidecars = vec![seg];
     for g in 0..RING_SCAN {
         let p = ring_snapshot_path(path, g);
         tmps.push(tmp_path(&p));
@@ -1283,20 +939,6 @@ fn header_line(farm: &Farm) -> String {
         },
     }
     .to_jsonl()
-}
-
-/// Rejects a journal whose `run_start` header does not match this farm.
-fn check_header(farm: &Farm, records: &[String]) -> Result<(), JournalError> {
-    if let Some(first) = records.first() {
-        let expected = header_line(farm);
-        if *first != expected {
-            return Err(JournalError::HeaderMismatch {
-                expected,
-                found: first.clone(),
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Where the journal file starts relative to the original run's record
@@ -1361,42 +1003,340 @@ fn resolve_segment(
     Ok(SegmentBase::Hypothesis)
 }
 
-/// A snapshot sidecar found on disk during resume.
-struct Candidate {
-    snap: FarmSnapshot,
-    /// Ring generation, or `None` for the legacy un-numbered sidecar.
-    generation: Option<u32>,
+/// Which start state a recovery restores.
+#[derive(Clone, Copy)]
+enum Pick {
+    /// The newest that binds and restores, ⊥ last (resume: least replay).
+    Newest,
+    /// The oldest that binds and restores, ⊥ first (time travel to any
+    /// record).
+    Oldest,
+    /// Exactly this ring generation (time travel pinned by the caller).
+    Generation(u32),
 }
 
-/// Loads every snapshot sidecar next to `path` — the legacy `.snap` plus
-/// ring generations `.snap.0..` — keeping those that describe this farm.
-/// Returns the survivors and the most recent rejection kind (for
-/// [`SnapshotOutcome::Fallback`] reporting).
-fn collect_candidates(
+/// A start state found for the journal: ⊥ — the run's initial state,
+/// bound to zero records at hash [`FNV_OFFSET`] — or a retained ring
+/// generation.
+enum Point {
+    Bottom,
+    Ring(u32, Box<FarmSnapshot>),
+}
+
+impl Point {
+    fn generation(&self) -> Option<u32> {
+        match self {
+            Point::Bottom => None,
+            Point::Ring(g, _) => Some(*g),
+        }
+    }
+
+    /// The committed records this start covers and their running hash.
+    fn binding(&self) -> (u64, u64) {
+        match self {
+            Point::Bottom => (0, FNV_OFFSET),
+            Point::Ring(_, s) => (s.journal_records, s.journal_hash),
+        }
+    }
+}
+
+/// The restored start state. ⊥ is only started once the sink exists:
+/// `FarmRun::start` emits the run's opening records, which the sink
+/// verifies like any other.
+enum Start {
+    Bottom(Farm),
+    Restored(Box<FarmRun>),
+}
+
+/// A recovery opened against the journal on disk: the start state, the
+/// committed records after it, and what the ring looked like.
+struct Recovery {
+    start: Start,
+    /// Committed records the start state covers, and their running hash.
+    records: u64,
+    hash: u64,
+    /// Committed records after the start state, to verify.
+    tail: Vec<String>,
+    /// Byte length of the journal's complete records (where appending
+    /// resumes).
+    complete_bytes: u64,
+    /// The snapshot outcome, generations, torn bytes and segment base.
+    info: RecoveryInfo,
+    /// `(journal_records, journal_hash)` per ring slot that binds.
+    ring_meta: Vec<Option<(u64, u64)>>,
+    /// Metadata to store when the `.seg` sidecar was stale and the base
+    /// was inferred from the ring.
+    repair: Option<SegmentMeta>,
+}
+
+/// Opens a recovery: reads the journal, resolves the segment base, binds
+/// every ring generation (plus ⊥, which binds only while record zero
+/// survives) to the records on disk, and restores the first start state
+/// in `pick` order. Candidates that fail to load, bind or restore are
+/// rejected — slower, never incorrect.
+fn open_recovery(
     vfs: &dyn Vfs,
     path: &Path,
-    farm: &Farm,
-) -> (Vec<Candidate>, Option<SnapshotErrorKind>) {
-    let mut found = Vec::new();
-    let legacy = default_snapshot_path(path);
-    if vfs.exists(&legacy) {
-        found.push((legacy, None));
-    }
-    for g in 0..RING_SCAN {
+    farm: Farm,
+    pick: Pick,
+) -> Result<Recovery, JournalError> {
+    let journal = read_journal_with(vfs, path)?;
+    let mut records = journal.records;
+
+    // Where does this file start? After GC the journal is a *segment*
+    // whose truncated prefix is described by the `.seg` sidecar (or, if a
+    // crash caught GC between the two renames, inferred from the ring).
+    let header = header_line(&farm);
+    let seg = resolve_segment(vfs, path, &records, &header)?;
+    // Load only the generations `pick` can restore: all of them when the
+    // base must be inferred, none when ⊥ comes first.
+    let wanted = |g: u32| match (pick, &seg) {
+        (_, SegmentBase::Hypothesis) | (Pick::Newest, _) => true,
+        (Pick::Oldest, SegmentBase::Whole) => false,
+        (Pick::Oldest, SegmentBase::At { .. }) => true,
+        (Pick::Generation(p), _) => g == p,
+    };
+    let mut rejected: Vec<(u32, SnapshotError)> = Vec::new();
+    let mut ring = Vec::new();
+    for g in (0..RING_SCAN).filter(|&g| wanted(g)) {
         let p = ring_snapshot_path(path, g);
         if vfs.exists(&p) {
-            found.push((p, Some(g)));
+            match load_snapshot(vfs, &p, &farm) {
+                Ok(snap) => ring.push((g, snap)),
+                Err(e) => rejected.push((g, e)),
+            }
         }
     }
-    let mut candidates = Vec::new();
-    let mut reject = None;
-    for (p, generation) in found {
-        match load_snapshot(vfs, &p, farm) {
-            Ok(snap) => candidates.push(Candidate { snap, generation }),
-            Err(e) => reject = Some(e.kind()),
+    let (base, base_hash, repair) = match seg {
+        SegmentBase::Whole => match records.first() {
+            Some(found) if *found != header => {
+                return Err(JournalError::HeaderMismatch {
+                    expected: header,
+                    found: found.clone(),
+                })
+            }
+            _ => (0, FNV_OFFSET, None),
+        },
+        SegmentBase::At { base, hash } => (base, hash, None),
+        SegmentBase::Hypothesis => {
+            let (base, hash) = infer_segment_base(&ring, &records).ok_or_else(|| {
+                JournalError::SegmentCorrupt {
+                    reason: "segment metadata is stale and no retained snapshot generation \
+                             binds to the surviving journal"
+                        .into(),
+                }
+            })?;
+            let first = records.first().map(String::as_str);
+            (base, hash, Some(SegmentMeta::for_cut(base, hash, first)))
+        }
+    };
+
+    let on_disk = records.len() as u64;
+    let bind = |(r, hash): (u64, u64)| -> Result<(), SnapshotError> {
+        if r < base {
+            return Err(SnapshotError::JournalMismatch { records: r });
+        }
+        if r - base > on_disk {
+            return Err(SnapshotError::JournalAhead {
+                snapshot_records: r,
+                journal_records: base + on_disk,
+            });
+        }
+        if extend_hash(base_hash, &records[..(r - base) as usize]) != hash {
+            return Err(SnapshotError::JournalMismatch { records: r });
+        }
+        Ok(())
+    };
+    let mut points = Vec::new();
+    if base == 0 {
+        points.push(Point::Bottom);
+    }
+    let mut ring_meta = vec![None; RING_SCAN as usize];
+    for (g, snap) in ring {
+        let point = Point::Ring(g, Box::new(snap));
+        match bind(point.binding()) {
+            Ok(()) => {
+                ring_meta[g as usize] = Some(point.binding());
+                points.push(point);
+            }
+            Err(e) => rejected.push((g, e)),
         }
     }
-    (candidates, reject)
+    points.sort_by_key(|p| (p.binding().0, p.generation()));
+    match pick {
+        Pick::Newest => points.reverse(),
+        Pick::Oldest => {}
+        Pick::Generation(g) => points.retain(|p| p.generation() == Some(g)),
+    }
+
+    let mut chosen = None;
+    for point in points {
+        let (r, hash) = point.binding();
+        match point {
+            Point::Bottom => {
+                chosen = Some((Start::Bottom(farm), r, hash, None));
+                break;
+            }
+            Point::Ring(g, snap) => match snap.restore(farm.config.clone()) {
+                Ok(run) => {
+                    chosen = Some((Start::Restored(Box::new(run)), r, hash, Some(g)));
+                    break;
+                }
+                Err(e) => rejected.push((g, e)),
+            },
+        }
+    }
+    let Some((start, r, hash, generation)) = chosen else {
+        return Err(match pick {
+            Pick::Generation(g) => JournalError::Generation {
+                generation: g,
+                reason: match rejected.iter().rev().find(|(r, _)| *r == g) {
+                    Some((_, e)) => e.to_string(),
+                    None => format!("{} does not exist", ring_snapshot_path(path, g).display()),
+                },
+            },
+            _ => JournalError::SegmentUnrecoverable {
+                base,
+                reason: match rejected.last() {
+                    Some((_, e)) => format!(
+                        "every retained snapshot generation was rejected (last: {})",
+                        e.kind()
+                    ),
+                    None => "no snapshot generation survives".into(),
+                },
+            },
+        });
+    };
+    let last = rejected.last();
+    let snapshot = match (generation, last) {
+        (Some(_), _) => SnapshotOutcome::Used { records_skipped: r },
+        (None, Some((_, e))) => SnapshotOutcome::Fallback(e.kind()),
+        (None, None) => SnapshotOutcome::None,
+    };
+    Ok(Recovery {
+        start,
+        records: r,
+        hash,
+        tail: records.split_off((r - base) as usize),
+        complete_bytes: journal.complete_bytes,
+        info: RecoveryInfo {
+            torn_bytes_discarded: journal.torn_bytes,
+            snapshot,
+            generation,
+            rejected_generation: last.map(|(g, _)| *g),
+            segment_base: base,
+            ..RecoveryInfo::default()
+        },
+        ring_meta,
+        repair,
+    })
+}
+
+impl Start {
+    /// Restores the start state with `sink` attached (⊥ emits its opening
+    /// records into it).
+    fn run(self, sink: &mut JournalSink, prof: &mut SpanProfiler) -> FarmRun {
+        match self {
+            Start::Bottom(farm) => FarmRun::start(farm, sink, prof),
+            Start::Restored(run) => *run,
+        }
+    }
+}
+
+impl Recovery {
+    /// ⊥ for a fresh journal: nothing on disk, nothing to verify.
+    fn bottom(farm: Farm) -> Self {
+        Recovery {
+            start: Start::Bottom(farm),
+            records: 0,
+            hash: FNV_OFFSET,
+            tail: Vec::new(),
+            complete_bytes: 0,
+            info: RecoveryInfo::default(),
+            ring_meta: vec![None; RING_SCAN as usize],
+            repair: None,
+        }
+    }
+
+    /// Continues the run through `writer`: verifies the tail, then
+    /// appends, snapshotting into the ring and GC'ing per `opts`.
+    fn resume(
+        self,
+        vfs: &dyn Vfs,
+        path: &Path,
+        opts: &JournalOptions,
+        writer: JournalWriter,
+    ) -> Result<(FarmReport, DurableStats), JournalError> {
+        let ring = opts.snapshot_ring.clamp(1, RING_SCAN);
+        // The next snapshot lands after the newest bound generation.
+        let newest = (0..RING_SCAN)
+            .filter_map(|g| self.ring_meta[g as usize].map(|(r, _)| (r, g)))
+            .max();
+        let want = self.records + self.tail.len() as u64;
+        let mut sink = JournalSink::new(Some(writer), self.tail, self.records, self.hash);
+        sink.kill_after = opts.kill_after;
+        let mut prof = SpanProfiler::disabled();
+        let run = self.start.run(&mut sink, &mut prof);
+        let mut ctx = DriveCtx {
+            vfs,
+            path: path.to_path_buf(),
+            fsync: opts.fsync,
+            snapshot_every: opts.snapshot_every,
+            last_snapshot: run.now,
+            ring,
+            next_gen: newest.map_or(0, |(_, g)| (g + 1) % ring),
+            ring_meta: self.ring_meta,
+            gc: opts.gc,
+            on_io_error: opts.on_io_error,
+            seg_base: self.info.segment_base,
+            stats: DurableStats::default(),
+            pending_error: None,
+        };
+        let report = drive(run, &mut sink, &mut prof, &mut ctx, opts.progress_every)?;
+        sink.verdict(want)?;
+        Ok((report, finish_stats(sink, ctx)?))
+    }
+
+    /// Steps the start state read-only to committed record `to` (clamped
+    /// to the journal's length, and up to the start's record count) and
+    /// summarizes the master's state there.
+    fn replay_to(self, to: u64) -> Result<ReplayState, JournalError> {
+        let total_records = self.records + self.tail.len() as u64;
+        let to = to.min(total_records).max(self.records);
+        let mut sink = JournalSink::new(None, self.tail, self.records, self.hash);
+        let mut prof = SpanProfiler::disabled();
+        let mut run = self.start.run(&mut sink, &mut prof);
+        let mut ended = false;
+        while sink.committed() < to {
+            if !run.step(&mut sink, &mut prof) {
+                ended = true;
+                break;
+            }
+        }
+        // Summarize before `finish` consumes the run; the trailing
+        // `run_end` record is only emitted by `finish`, so a replay to the
+        // journal's end still needs it for verification.
+        let stats = || run.states.stats.iter();
+        let state = ReplayState {
+            records: 0, // patched below, after finish
+            total_records,
+            virtual_time: run.now,
+            pending_tasks: run.eng.bag.pending_count() as u64,
+            banked_tasks: run.eng.banked.len() as u64,
+            in_flight_chunks: run.eng.in_flight.len() as u64,
+            completed_work: stats().map(|s| s.completed_work).sum(),
+            lost_work: stats().map(|s| s.lost_work).sum(),
+            episodes: stats().map(|s| s.episodes).sum(),
+        };
+        if ended && sink.committed() < to {
+            run.finish(&mut sink, &mut prof);
+        }
+        sink.verdict(to)?;
+        Ok(ReplayState {
+            records: sink.committed(),
+            ..state
+        })
+    }
 }
 
 /// Loads a sidecar and verifies it describes this farm (seed, workstation
@@ -1407,7 +1347,7 @@ fn load_snapshot(
     snap_path: &Path,
     farm: &Farm,
 ) -> Result<FarmSnapshot, SnapshotError> {
-    let snap = FarmSnapshot::load_with(vfs, snap_path)?;
+    let snap = FarmSnapshot::load(vfs, snap_path)?;
     let (ws, tasks) = (
         farm.config.workstations.len() as u64,
         farm.bag.pending_count() as u64,
@@ -1439,40 +1379,16 @@ fn extend_hash(mut hash: u64, records: &[String]) -> u64 {
 /// cuts there), and every other retained generation must be reachable
 /// from it by hashing the surviving records. Any inconsistency returns
 /// `None` — the caller fails typed rather than guessing.
-fn infer_segment_base(candidates: &[Candidate], records: &[String]) -> Option<(u64, u64)> {
-    let oldest = candidates.iter().min_by_key(|c| c.snap.journal_records)?;
-    let (base, hash) = (oldest.snap.journal_records, oldest.snap.journal_hash);
-    for c in candidates {
-        let tail = (c.snap.journal_records - base) as usize;
-        if tail > records.len() || extend_hash(hash, &records[..tail]) != c.snap.journal_hash {
+fn infer_segment_base(ring: &[(u32, FarmSnapshot)], records: &[String]) -> Option<(u64, u64)> {
+    let (_, oldest) = ring.iter().min_by_key(|(_, s)| s.journal_records)?;
+    let (base, hash) = (oldest.journal_records, oldest.journal_hash);
+    for (_, s) in ring {
+        let tail = (s.journal_records - base) as usize;
+        if tail > records.len() || extend_hash(hash, &records[..tail]) != s.journal_hash {
             return None;
         }
     }
     Some((base, hash))
-}
-
-/// The read-only verifying sink behind [`Farm::replay_to`]: like
-/// `JournalSink` but with nothing to write — replay never extends the
-/// journal.
-struct VerifySink<'a> {
-    prefix: &'a [String],
-    pos: u64,
-    diverged: Option<(u64, String, String)>,
-}
-
-impl EventSink for VerifySink<'_> {
-    fn emit(&mut self, event: &Event) {
-        if self.diverged.is_some() || (self.pos as usize) >= self.prefix.len() {
-            return;
-        }
-        let line = event.to_jsonl();
-        let expected = &self.prefix[self.pos as usize];
-        if *expected != line {
-            self.diverged = Some((self.pos + 1, expected.clone(), line));
-            return;
-        }
-        self.pos += 1;
-    }
 }
 
 #[cfg(test)]
@@ -1481,7 +1397,6 @@ pub(crate) mod tests {
     use crate::farm::{PolicySpec, WorkstationConfig};
     use crate::faults::FaultPlan;
     use cs_life::{ArcLife, Uniform};
-    use cs_obs::read_journal;
     use cs_tasks::workloads;
     use std::sync::Arc;
 
@@ -1520,6 +1435,31 @@ pub(crate) mod tests {
         workloads::uniform(120, 1.0).unwrap()
     }
 
+    /// A journaled run on the real filesystem at the §4.2 guideline
+    /// cadence.
+    pub(super) fn run_guideline(
+        config: FarmConfig,
+        bag: cs_tasks::TaskBag,
+        path: &Path,
+    ) -> (FarmReport, DurableStats) {
+        let opts = JournalOptions::guideline(&config);
+        Farm::new(config, bag)
+            .unwrap()
+            .run_journaled_vfs(path, opts, &StdVfs)
+            .unwrap()
+    }
+
+    /// [`Farm::resume_vfs`] on the real filesystem at the §4.2 guideline
+    /// cadence.
+    pub(super) fn resume_guideline(
+        config: FarmConfig,
+        bag: cs_tasks::TaskBag,
+        path: &Path,
+    ) -> Result<(FarmReport, RecoveryInfo), JournalError> {
+        let opts = JournalOptions::guideline(&config);
+        Farm::resume_vfs(config, bag, path, opts, &StdVfs)
+    }
+
     pub(crate) fn assert_reports_bitwise_equal(a: &FarmReport, b: &FarmReport) {
         assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
         assert_eq!(a.completed_work.to_bits(), b.completed_work.to_bits());
@@ -1542,10 +1482,7 @@ pub(crate) mod tests {
     fn journaled_run_is_passthrough_and_matches_observed_trace() {
         let path = tmp("passthrough");
         let plain = Farm::new(faulty_config(13), bag()).unwrap().run();
-        let (journaled, stats) = Farm::new(faulty_config(13), bag())
-            .unwrap()
-            .run_journaled(&path)
-            .unwrap();
+        let (journaled, stats) = run_guideline(faulty_config(13), bag(), &path);
         assert_reports_bitwise_equal(&plain, &journaled);
         assert!(stats.records > 0 && stats.syncs > 0, "{stats:?}");
 
@@ -1559,22 +1496,18 @@ pub(crate) mod tests {
         assert_eq!(actual, expected);
 
         // And it reads back clean and passes the invariant gate.
-        let j = read_journal(&path).unwrap();
+        let j = read_journal_with(&StdVfs, &path).unwrap();
         assert!(!j.is_torn());
         assert_eq!(j.records.len() as u64, stats.records);
         let check = cs_obs::check_text(&actual, true);
         assert!(check.ok(), "{:?}", check.violations);
-        std::fs::remove_file(default_snapshot_path(&path)).ok();
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
     fn resume_from_torn_prefix_is_bitwise_identical() {
         let ref_path = tmp("resume_ref");
-        let (full_report, _) = Farm::new(faulty_config(29), bag())
-            .unwrap()
-            .run_journaled(&ref_path)
-            .unwrap();
+        let (full_report, _) = run_guideline(faulty_config(29), bag(), &ref_path);
         let full_bytes = std::fs::read(&ref_path).unwrap();
         let records: Vec<&[u8]> = full_bytes.split_inclusive(|&b| b == b'\n').collect();
         assert!(records.len() > 20, "want a non-trivial journal");
@@ -1587,7 +1520,7 @@ pub(crate) mod tests {
             torn.extend_from_slice(b"{\"v\":2,\"t\":9");
             std::fs::write(&path, &torn).unwrap();
 
-            let (resumed, info) = Farm::resume(faulty_config(29), bag(), &path).unwrap();
+            let (resumed, info) = resume_guideline(faulty_config(29), bag(), &path).unwrap();
             assert_reports_bitwise_equal(&full_report, &resumed);
             // No sidecar next to this journal: recovery is full redo.
             assert_eq!(info.snapshot, SnapshotOutcome::None);
@@ -1597,21 +1530,16 @@ pub(crate) mod tests {
             // The stitched journal is byte-identical to the uninterrupted
             // one.
             assert_eq!(std::fs::read(&path).unwrap(), full_bytes);
-            std::fs::remove_file(default_snapshot_path(&path)).ok();
-            std::fs::remove_file(&path).ok();
+            cleanup(&path);
         }
-        std::fs::remove_file(default_snapshot_path(&ref_path)).ok();
-        std::fs::remove_file(&ref_path).ok();
+        cleanup(&ref_path);
     }
 
     #[test]
     fn resume_of_a_complete_journal_verifies_and_appends_nothing() {
         let path = tmp("complete");
-        let (report, stats) = Farm::new(faulty_config(7), bag())
-            .unwrap()
-            .run_journaled(&path)
-            .unwrap();
-        let (resumed, info) = Farm::resume(faulty_config(7), bag(), &path).unwrap();
+        let (report, stats) = run_guideline(faulty_config(7), bag(), &path);
+        let (resumed, info) = resume_guideline(faulty_config(7), bag(), &path).unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         // With the sidecar the run left behind, resume skips its prefix;
         // either way every committed record is accounted for and nothing
@@ -1624,17 +1552,13 @@ pub(crate) mod tests {
         assert_eq!(skipped + info.records_replayed, stats.records);
         assert_eq!(info.records_appended, 0);
         assert_eq!(info.torn_bytes_discarded, 0);
-        std::fs::remove_file(default_snapshot_path(&path)).ok();
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
     fn progress_heartbeats_leave_journal_and_report_bit_identical() {
         let quiet = tmp("hb_quiet");
-        let (base, _) = Farm::new(faulty_config(11), bag())
-            .unwrap()
-            .run_journaled(&quiet)
-            .unwrap();
+        let (base, _) = run_guideline(faulty_config(11), bag(), &quiet);
         let noisy = tmp("hb_noisy");
         // `Some(0.0)` emits a heartbeat before every step — the loudest
         // possible setting; the journal bytes and report must not notice.
@@ -1644,7 +1568,7 @@ pub(crate) mod tests {
         };
         let (report, _) = Farm::new(faulty_config(11), bag())
             .unwrap()
-            .run_journaled_with(&noisy, opts)
+            .run_journaled_vfs(&noisy, opts, &StdVfs)
             .unwrap();
         assert_reports_bitwise_equal(&base, &report);
         assert_eq!(
@@ -1652,20 +1576,16 @@ pub(crate) mod tests {
             std::fs::read(&noisy).unwrap()
         );
         for p in [&quiet, &noisy] {
-            std::fs::remove_file(default_snapshot_path(p)).ok();
-            std::fs::remove_file(p).ok();
+            cleanup(p);
         }
     }
 
     #[test]
     fn resume_rejects_a_foreign_journal() {
         let path = tmp("foreign");
-        Farm::new(faulty_config(1), bag())
-            .unwrap()
-            .run_journaled(&path)
-            .unwrap();
+        run_guideline(faulty_config(1), bag(), &path);
         // Wrong seed → different run_start → header mismatch.
-        match Farm::resume(faulty_config(2), bag(), &path) {
+        match resume_guideline(faulty_config(2), bag(), &path) {
             Err(JournalError::HeaderMismatch { expected, found }) => {
                 assert_ne!(expected, found);
             }
@@ -1676,35 +1596,30 @@ pub(crate) mod tests {
         let doctored = text.replacen("\"duplicate\":0}", "\"duplicate\":0.125}", 1);
         assert_ne!(text, doctored, "fixture must contain a bank record");
         std::fs::write(&path, doctored).unwrap();
-        match Farm::resume(faulty_config(1), bag(), &path) {
+        match resume_guideline(faulty_config(1), bag(), &path) {
             Err(JournalError::Diverged { record, .. }) => assert!(record > 1),
             other => panic!("expected Diverged, got {other:?}"),
         }
-        std::fs::remove_file(default_snapshot_path(&path)).ok();
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
     fn resume_rejects_a_journal_from_a_longer_run() {
         let path = tmp("ahead");
-        Farm::new(faulty_config(5), bag())
-            .unwrap()
-            .run_journaled(&path)
-            .unwrap();
+        run_guideline(faulty_config(5), bag(), &path);
         // A journal strictly longer than what replay regenerates: append a
         // copy of the final run_end record.
         let text = std::fs::read_to_string(&path).unwrap();
         let last = text.lines().last().unwrap().to_string();
         std::fs::write(&path, format!("{text}{last}\n")).unwrap();
-        match Farm::resume(faulty_config(5), bag(), &path) {
+        match resume_guideline(faulty_config(5), bag(), &path) {
             Err(JournalError::JournalAhead {
                 journal_records,
                 replayed,
             }) => assert_eq!(journal_records, replayed + 1),
             other => panic!("expected JournalAhead, got {other:?}"),
         }
-        std::fs::remove_file(default_snapshot_path(&path)).ok();
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     /// Sets up the snapshot-resume fixture: a full journaled run with an
@@ -1719,10 +1634,10 @@ pub(crate) mod tests {
         };
         let (report, _) = Farm::new(faulty_config(seed), bag())
             .unwrap()
-            .run_journaled_with(&path, opts)
+            .run_journaled_vfs(&path, opts, &StdVfs)
             .unwrap();
         let full = std::fs::read(&path).unwrap();
-        let meta = crate::snapshot::inspect_snapshot(default_snapshot_path(&path)).unwrap();
+        let meta = crate::snapshot::inspect_snapshot(ring_snapshot_path(&path, 0)).unwrap();
         assert!(meta.journal_records > 0, "fixture needs a real snapshot");
         (path, full, report, meta.journal_records)
     }
@@ -1744,7 +1659,7 @@ pub(crate) mod tests {
         // Kill after the snapshot point: the sidecar applies.
         let kill_at = n - 1;
         truncate_to(&path, &full, kill_at);
-        let (resumed, info) = Farm::resume(faulty_config(31), bag(), &path).unwrap();
+        let (resumed, info) = resume_guideline(faulty_config(31), bag(), &path).unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         assert_eq!(
             info.snapshot,
@@ -1755,8 +1670,7 @@ pub(crate) mod tests {
         assert_eq!(info.records_replayed, kill_at as u64 - snap_records);
         assert!(info.records_appended > 0);
         assert_eq!(std::fs::read(&path).unwrap(), full);
-        std::fs::remove_file(default_snapshot_path(&path)).ok();
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -1765,13 +1679,13 @@ pub(crate) mod tests {
         let n = full.iter().filter(|&&b| b == b'\n').count();
         truncate_to(&path, &full, n - 1);
         // Flip one byte in the sidecar body.
-        let snap_path = default_snapshot_path(&path);
+        let snap_path = ring_snapshot_path(&path, 0);
         let mut bytes = std::fs::read(&snap_path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x20;
         std::fs::write(&snap_path, &bytes).unwrap();
 
-        let (resumed, info) = Farm::resume(faulty_config(37), bag(), &path).unwrap();
+        let (resumed, info) = resume_guideline(faulty_config(37), bag(), &path).unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         assert!(
             matches!(info.snapshot, SnapshotOutcome::Fallback(_)),
@@ -1791,7 +1705,7 @@ pub(crate) mod tests {
         // the journal no longer holds and must be rejected.
         assert!(snap_records > 1);
         truncate_to(&path, &full, snap_records as usize - 1);
-        let (resumed, info) = Farm::resume(faulty_config(41), bag(), &path).unwrap();
+        let (resumed, info) = resume_guideline(faulty_config(41), bag(), &path).unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         assert_eq!(
             info.snapshot,
@@ -1799,8 +1713,7 @@ pub(crate) mod tests {
         );
         assert_eq!(info.records_replayed, snap_records - 1);
         assert_eq!(std::fs::read(&path).unwrap(), full);
-        std::fs::remove_file(default_snapshot_path(&path)).ok();
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -1811,14 +1724,14 @@ pub(crate) mod tests {
         // Record 1 is the run_start header. Setup (header + one
         // episode_start per workstation) is atomic, so the replay lands
         // just past it: nothing dispatched, nothing banked.
-        let at_start = Farm::replay_to(faulty_config(43), bag(), &path, 1).unwrap();
+        let at_start = Farm::replay_to_from(faulty_config(43), bag(), &path, 1, None).unwrap();
         assert_eq!(at_start.records, 4, "run_start + 3 episode_start");
         assert_eq!(at_start.total_records, n);
         assert_eq!(at_start.banked_tasks, 0);
         assert_eq!(at_start.pending_tasks, 120);
 
         // Midway: progress is strictly between start and end.
-        let mid = Farm::replay_to(faulty_config(43), bag(), &path, n / 2).unwrap();
+        let mid = Farm::replay_to_from(faulty_config(43), bag(), &path, n / 2, None).unwrap();
         assert!(mid.records >= n / 2 && mid.records < n, "{mid:?}");
         assert!(mid.virtual_time > 0.0);
         assert!(mid.banked_tasks > 0 || mid.in_flight_chunks > 0, "{mid:?}");
@@ -1826,7 +1739,7 @@ pub(crate) mod tests {
 
         // The full journal replays to the final report's totals (clamped
         // even when asked for more records than exist).
-        let end = Farm::replay_to(faulty_config(43), bag(), &path, n + 500).unwrap();
+        let end = Farm::replay_to_from(faulty_config(43), bag(), &path, n + 500, None).unwrap();
         assert_eq!(end.records, n);
         assert_eq!(end.banked_tasks, 120);
         // (pending/in-flight need not be zero at the end: a requeued or
@@ -1841,11 +1754,10 @@ pub(crate) mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), full);
         // And it rejects foreign inputs like resume does.
         assert!(matches!(
-            Farm::replay_to(faulty_config(44), bag(), &path, 5),
+            Farm::replay_to_from(faulty_config(44), bag(), &path, 5, None),
             Err(JournalError::HeaderMismatch { .. })
         ));
-        std::fs::remove_file(default_snapshot_path(&path)).ok();
-        std::fs::remove_file(&path).ok();
+        cleanup(&path);
     }
 
     #[test]
@@ -1924,13 +1836,12 @@ pub(crate) mod tests {
         };
         let (report, stats) = Farm::new(faulty_config(seed), bag())
             .unwrap()
-            .run_journaled_with(&path, opts)
+            .run_journaled_vfs(&path, opts, &StdVfs)
             .unwrap();
         (path, report, opts, stats)
     }
 
     pub(super) fn cleanup(path: &std::path::Path) {
-        std::fs::remove_file(default_snapshot_path(path)).ok();
         std::fs::remove_file(segment_meta_path(path)).ok();
         for g in 0..8 {
             std::fs::remove_file(ring_snapshot_path(path, g)).ok();
@@ -1949,14 +1860,11 @@ pub(crate) mod tests {
                 "generation {g} missing"
             );
         }
-        assert!(
-            !default_snapshot_path(&path).exists(),
-            "ring mode must not write the legacy sidecar"
-        );
         let full = std::fs::read(&path).unwrap();
         let n = full.iter().filter(|&&b| b == b'\n').count();
         truncate_to(&path, &full, n - 1);
-        let (resumed, info) = Farm::resume_with(faulty_config(47), bag(), &path, opts).unwrap();
+        let (resumed, info) =
+            Farm::resume_vfs(faulty_config(47), bag(), &path, opts, &StdVfs).unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         assert!(info.generation.is_some(), "{info:?}");
         assert!(
@@ -1966,6 +1874,80 @@ pub(crate) mod tests {
         assert_eq!(info.segment_base, 0);
         assert_eq!(std::fs::read(&path).unwrap(), full);
         cleanup(&path);
+    }
+
+    #[test]
+    fn one_generation_ring_writes_snap_0_and_resumes_from_it() {
+        let (path, report, opts, stats) = ring_fixture("ring_one", 47, 1, false);
+        assert!(stats.snapshots_written > 0, "{stats:?}");
+        assert!(ring_snapshot_path(&path, 0).exists());
+        let unnumbered = PathBuf::from(format!("{}.snap", path.display()));
+        assert!(!unnumbered.exists(), "the ring is the only sidecar layout");
+        let full = std::fs::read(&path).unwrap();
+        let n = full.iter().filter(|&&b| b == b'\n').count();
+        truncate_to(&path, &full, n - 1);
+        let (resumed, info) =
+            Farm::resume_vfs(faulty_config(47), bag(), &path, opts, &StdVfs).unwrap();
+        assert_reports_bitwise_equal(&report, &resumed);
+        assert!(
+            matches!(info.snapshot, SnapshotOutcome::Used { .. }),
+            "{info:?}"
+        );
+        assert_eq!(info.generation, Some(0));
+        assert_eq!(std::fs::read(&path).unwrap(), full);
+        cleanup(&path);
+    }
+
+    /// Every start state is one recovery path: from each retained
+    /// generation, and from ⊥ on an un-GC'd journal, time travel to the
+    /// end reaches the same record and banked work, and a resume with
+    /// only that start state on disk returns the uninterrupted report bit
+    /// for bit.
+    #[test]
+    fn every_start_state_replays_and_resumes_to_the_same_end() {
+        for (seed, gc) in [(47, false), (53, true)] {
+            let (path, report, opts, stats) = ring_fixture(&format!("cross_{gc}"), seed, 3, gc);
+            assert_eq!(stats.gc_truncated_records > 0, gc, "{stats:?}");
+            let journal = std::fs::read(&path).unwrap();
+            let ring: Vec<Vec<u8>> = (0..3)
+                .map(|g| std::fs::read(ring_snapshot_path(&path, g)).unwrap())
+                .collect();
+            let mut starts: Vec<Option<u32>> = (0..3).map(Some).collect();
+            if !gc {
+                starts.push(None); // ⊥ binds only while record zero survives
+            }
+            let resume_opts = JournalOptions {
+                snapshot_every: None,
+                ..opts
+            };
+            for start in starts {
+                let end = Farm::replay_to_from(faulty_config(seed), bag(), &path, u64::MAX, start)
+                    .unwrap();
+                assert_eq!(end.records, stats.records, "start {start:?}");
+                assert_eq!(
+                    end.completed_work.to_bits(),
+                    report.completed_work.to_bits(),
+                    "start {start:?}"
+                );
+
+                for g in 0..3u32 {
+                    if Some(g) != start {
+                        std::fs::remove_file(ring_snapshot_path(&path, g)).unwrap();
+                    }
+                }
+                let (resumed, info) =
+                    Farm::resume_vfs(faulty_config(seed), bag(), &path, resume_opts, &StdVfs)
+                        .unwrap();
+                assert_reports_bitwise_equal(&report, &resumed);
+                assert_eq!(info.generation, start);
+                assert_eq!(info.records_appended, 0);
+                assert_eq!(std::fs::read(&path).unwrap(), journal);
+                for (g, bytes) in ring.iter().enumerate() {
+                    std::fs::write(ring_snapshot_path(&path, g as u32), bytes).unwrap();
+                }
+            }
+            cleanup(&path);
+        }
     }
 
     #[test]
@@ -1988,7 +1970,8 @@ pub(crate) mod tests {
         assert_eq!(seg.base_records, stats.gc_truncated_records);
 
         // A complete GC'd journal still verifies end to end.
-        let (resumed, info) = Farm::resume_with(faulty_config(53), bag(), &path, opts).unwrap();
+        let (resumed, info) =
+            Farm::resume_vfs(faulty_config(53), bag(), &path, opts, &StdVfs).unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         assert!(info.segment_base > 0, "{info:?}");
         assert_eq!(info.records_appended, 0);
@@ -2001,10 +1984,11 @@ pub(crate) mod tests {
             assert_eq!(st.records, st.total_records, "generation {g}");
             assert_eq!(st.banked_tasks, 120, "generation {g}");
         }
-        // `replay_to` without a generation auto-picks one when record zero
+        // `replay_to_from` without a generation auto-picks one when record zero
         // is gone.
         let seg = SegmentMeta::load(&StdVfs, &segment_meta_path(&path)).unwrap();
-        let st = Farm::replay_to(faulty_config(53), bag(), &path, seg.base_records + 1).unwrap();
+        let st = Farm::replay_to_from(faulty_config(53), bag(), &path, seg.base_records + 1, None)
+            .unwrap();
         assert!(st.records > seg.base_records);
         cleanup(&path);
     }
@@ -2023,7 +2007,8 @@ pub(crate) mod tests {
         let mut torn = full[..offsets[n - 3]].to_vec();
         torn.extend_from_slice(b"{\"v\":2,\"t\":1");
         std::fs::write(&path, &torn).unwrap();
-        let (resumed, info) = Farm::resume_with(faulty_config(59), bag(), &path, opts).unwrap();
+        let (resumed, info) =
+            Farm::resume_vfs(faulty_config(59), bag(), &path, opts, &StdVfs).unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         assert!(info.torn_bytes_discarded > 0, "{info:?}");
         assert!(info.segment_base > 0, "{info:?}");
@@ -2050,7 +2035,8 @@ pub(crate) mod tests {
         let full = std::fs::read(&path).unwrap();
         let n = full.iter().filter(|&&b| b == b'\n').count();
         truncate_to(&path, &full, n - 1);
-        let (resumed, info) = Farm::resume_with(faulty_config(61), bag(), &path, opts).unwrap();
+        let (resumed, info) =
+            Farm::resume_vfs(faulty_config(61), bag(), &path, opts, &StdVfs).unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         assert_eq!(info.segment_base, real.base_records, "{info:?}");
         // The metadata was repaired on the way through.
@@ -2065,7 +2051,7 @@ pub(crate) mod tests {
         for g in 0..3 {
             std::fs::remove_file(ring_snapshot_path(&path, g)).unwrap();
         }
-        match Farm::resume_with(faulty_config(67), bag(), &path, opts) {
+        match Farm::resume_vfs(faulty_config(67), bag(), &path, opts, &StdVfs) {
             Err(JournalError::SegmentUnrecoverable { base, .. }) => assert!(base > 0),
             other => panic!("expected SegmentUnrecoverable, got {other:?}"),
         }
@@ -2120,7 +2106,7 @@ pub(crate) mod tests {
         assert!(stats.degraded, "{stats:?}");
         // What made it to disk is a valid prefix: a later resume on a
         // healthy disk finishes the episode exactly.
-        let (resumed, info) = Farm::resume(faulty_config(73), bag(), &path).unwrap();
+        let (resumed, info) = resume_guideline(faulty_config(73), bag(), &path).unwrap();
         assert_reports_bitwise_equal(&reference, &resumed);
         assert!(!info.degraded);
         cleanup(&path);
@@ -2129,15 +2115,12 @@ pub(crate) mod tests {
     #[test]
     fn stale_tmp_files_are_swept_on_start_and_resume() {
         let path = tmp("sweep");
-        let stale = crate::snapshot::tmp_path(&default_snapshot_path(&path));
+        let stale = crate::snapshot::tmp_path(&ring_snapshot_path(&path, 0));
         std::fs::write(&stale, b"half-written").unwrap();
-        Farm::new(faulty_config(79), bag())
-            .unwrap()
-            .run_journaled(&path)
-            .unwrap();
+        run_guideline(faulty_config(79), bag(), &path);
         assert!(!stale.exists(), "fresh run must sweep stale tmp files");
         std::fs::write(&stale, b"half-written").unwrap();
-        Farm::resume(faulty_config(79), bag(), &path).unwrap();
+        resume_guideline(faulty_config(79), bag(), &path).unwrap();
         assert!(!stale.exists(), "resume must sweep stale tmp files");
         cleanup(&path);
     }
@@ -2145,7 +2128,9 @@ pub(crate) mod tests {
 
 #[cfg(test)]
 mod properties {
-    use super::tests::{assert_reports_bitwise_equal, cleanup, tmp};
+    use super::tests::{
+        assert_reports_bitwise_equal, cleanup, resume_guideline, run_guideline, tmp,
+    };
     use super::*;
     use crate::farm::{PolicySpec, WorkstationConfig};
     use crate::faults::FaultPlan;
@@ -2196,10 +2181,7 @@ mod properties {
             let torn = torn_bit == 1;
             let path = tmp(&format!("prop_{seed}_{tasks}_{}", intensity.to_bits()));
             let mk_bag = || workloads::uniform(tasks, 1.0).unwrap();
-            let (reference, _) = Farm::new(prop_config(seed, intensity, workstations), mk_bag())
-                .unwrap()
-                .run_journaled(&path)
-                .unwrap();
+            let (reference, _) = run_guideline(prop_config(seed, intensity, workstations), mk_bag(), &path);
             let full = std::fs::read(&path).unwrap();
             let offsets: Vec<usize> = full
                 .iter()
@@ -2217,7 +2199,7 @@ mod properties {
             }
             std::fs::write(&path, &prefix).unwrap();
             let (resumed, info) =
-                Farm::resume(prop_config(seed, intensity, workstations), mk_bag(), &path).unwrap();
+                resume_guideline(prop_config(seed, intensity, workstations), mk_bag(), &path).unwrap();
             // The reference run's sidecar is still next to the journal: when
             // the kill point is past the snapshot, resume restores it and
             // skips the covered records; otherwise it falls back to full
@@ -2231,8 +2213,7 @@ mod properties {
             let stitched = std::fs::read(&path).unwrap();
             prop_assert!(stitched == full, "stitched journal differs from the reference");
             assert_reports_bitwise_equal(&reference, &resumed);
-            let _ = std::fs::remove_file(crate::snapshot::default_snapshot_path(&path));
-            let _ = std::fs::remove_file(&path);
+            cleanup(&path);
         }
 
         /// The tentpole guarantee, property-tested end to end: for any
@@ -2253,7 +2234,7 @@ mod properties {
         ) {
             let corrupt = corrupt_bit == 1;
             let path = tmp(&format!("snapprop_{seed}_{tasks}_{}", intensity.to_bits()));
-            let snap_path = crate::snapshot::default_snapshot_path(&path);
+            let snap_path = ring_snapshot_path(&path, 0);
             let mk_bag = || workloads::uniform(tasks, 1.0).unwrap();
             let mk_cfg = || prop_config(seed, intensity, workstations);
             let opts = JournalOptions {
@@ -2263,7 +2244,7 @@ mod properties {
             };
             let (reference, _) = Farm::new(mk_cfg(), mk_bag())
                 .unwrap()
-                .run_journaled_with(&path, opts)
+                .run_journaled_vfs(&path, opts, &StdVfs)
                 .unwrap();
             let full = std::fs::read(&path).unwrap();
             let meta = snap_path
@@ -2287,7 +2268,7 @@ mod properties {
                 }
             }
 
-            let (resumed, info) = Farm::resume_with(mk_cfg(), mk_bag(), &path, opts).unwrap();
+            let (resumed, info) = Farm::resume_vfs(mk_cfg(), mk_bag(), &path, opts, &StdVfs).unwrap();
             assert_reports_bitwise_equal(&reference, &resumed);
             let stitched = std::fs::read(&path).unwrap();
             prop_assert!(stitched == full, "stitched journal differs from the reference");
@@ -2355,7 +2336,7 @@ mod properties {
             };
             let (reference, stats) = Farm::new(mk_cfg(), mk_bag())
                 .unwrap()
-                .run_journaled_with(&path, opts)
+                .run_journaled_vfs(&path, opts, &StdVfs)
                 .unwrap();
             prop_assume!(stats.gc_truncated_records > 0);
             let full = std::fs::read(&path).unwrap();
@@ -2394,7 +2375,7 @@ mod properties {
             // start, so at least one generation always survives any kill.
             prop_assert!(usable > 0, "no usable generation at kill point {k}/{n}");
 
-            let (resumed, info) = Farm::resume_with(mk_cfg(), mk_bag(), &path, opts).unwrap();
+            let (resumed, info) = Farm::resume_vfs(mk_cfg(), mk_bag(), &path, opts, &StdVfs).unwrap();
             assert_reports_bitwise_equal(&reference, &resumed);
             prop_assert!(
                 matches!(info.snapshot, SnapshotOutcome::Used { .. }),

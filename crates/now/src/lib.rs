@@ -16,34 +16,35 @@
 //!   from the shared bag, so results are exactly reproducible and policy
 //!   comparisons are apples-to-apples. This is the engine the experiments
 //!   use.
-//! * [`live`] — a **real threaded executor**: one thread per borrowed
-//!   workstation, crossbeam channels for the A↔B work/result protocol, an
-//!   owner thread per workstation that reclaims it on schedule, and real
-//!   (synthetic-compute) task execution. This demonstrates the library
+//! * [`live`] — a **real threaded executor**: one scoped thread per
+//!   borrowed workstation sharing the master's task bag behind a
+//!   `std::sync::Mutex`, an owner reclaim deadline per workstation, and
+//!   real (synthetic-compute) task execution. This demonstrates the library
 //!   driving actual concurrent workers; the virtual→wall-clock scale is
 //!   configurable.
 //! * [`replicate`] — parallel Monte-Carlo replication of farm simulations
-//!   across seeds (crossbeam scoped threads) with merged summary
+//!   across seeds (`std::thread::scope` threads) with merged summary
 //!   statistics.
 //! * [`faults`] — deterministic fault injection (message loss, stragglers,
 //!   crashes, reclaim storms, belief drift) plus the resilient master's
 //!   countermeasure knobs (leases, backoff, quarantine, tail replication).
-//! * [`journal`] — **durable episodes**: [`farm::Farm::run_journaled`]
-//!   writes every master transition to a fsync-on-commit write-ahead
-//!   journal ([`cs_obs::journal`]) and [`farm::Farm::resume`] finishes a
-//!   crashed run with a [`farm::FarmReport`] bitwise identical to the
+//! * [`journal`] — **durable episodes**:
+//!   [`farm::Farm::run_journaled_vfs`] writes every master transition to
+//!   a fsync-on-commit write-ahead journal ([`cs_obs::journal`]) and
+//!   [`farm::Farm::resume_vfs`] finishes a crashed run with a [`farm::FarmReport`] bitwise identical to the
 //!   uninterrupted one, the flush cadence chosen by the paper's own §4.2
 //!   save-scheduling guideline ([`guideline_fsync_policy`]).
 //! * [`snapshot`] — **O(1) crash recovery**: journaled runs periodically
 //!   capture the farm's complete state (RNG streams, event queue, leases,
-//!   bag, fault cursors) to a versioned, checksummed sidecar on the same
-//!   guideline cadence; resume restores the latest snapshot and replays
-//!   only the journal tail, falling back gracefully to full redo replay
-//!   when the sidecar is missing or damaged
-//!   ([`snapshot::SnapshotOutcome`]). A snapshot is also a time-travel
-//!   fork point ([`farm::Farm::fork_from_snapshot`],
-//!   [`farm::Farm::replay_to`]). **Bounded disk**: snapshots can rotate
-//!   through an N-generation ring ([`JournalOptions::snapshot_ring`])
+//!   bag, fault cursors) to a versioned, checksummed ring generation on
+//!   the same guideline cadence; recovery restores the newest generation
+//!   that binds and replays only the journal tail, falling back to older
+//!   generations and finally to ⊥, the run's initial state (full redo),
+//!   when they are missing or damaged ([`snapshot::SnapshotOutcome`]). A
+//!   snapshot is also a time-travel fork point
+//!   ([`farm::Farm::fork_from_snapshot`], [`farm::Farm::replay_to_from`]).
+//!   **Bounded disk**: snapshots rotate through an N-generation ring
+//!   ([`JournalOptions::snapshot_ring`])
 //!   with journal-prefix GC ([`JournalOptions::gc`]) pruning records the
 //!   oldest retained generation makes redundant — disk usage is then
 //!   bounded by the ring plus one snapshot interval of journal,
@@ -82,6 +83,6 @@ pub use journal::{
 };
 pub use replicate::{replicate_farm, ReplicationReport};
 pub use snapshot::{
-    default_snapshot_path, inspect_snapshot, ring_snapshot_path, segment_meta_path, SegmentMeta,
-    SnapshotError, SnapshotErrorKind, SnapshotMeta, SnapshotOutcome,
+    inspect_snapshot, ring_snapshot_path, segment_meta_path, SegmentMeta, SnapshotError,
+    SnapshotErrorKind, SnapshotMeta, SnapshotOutcome,
 };

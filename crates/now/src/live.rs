@@ -6,7 +6,7 @@
 //! concurrent task farm the way workstation A would:
 //!
 //! * one thread per borrowed workstation, sharing the master's
-//!   [`TaskBag`] behind a [`parking_lot::Mutex`];
+//!   [`TaskBag`] behind a [`std::sync::Mutex`];
 //! * per period: a simulated communication setup delay (`c`), chunk
 //!   check-out, CPU-burning execution of each task, result bank-in;
 //! * an owner "reclaim" deadline per workstation — reaching it mid-chunk
@@ -19,8 +19,8 @@
 
 use cs_core::Schedule;
 use cs_tasks::{Task, TaskBag};
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One live borrowed workstation: the schedule its master-side driver will
@@ -83,6 +83,14 @@ struct LiveState {
     in_flight: usize,
 }
 
+/// Locks the shared state, taking it back from a poisoned lock. Task
+/// panics are caught outside the lock; a panic inside a locked section
+/// kills only its worker (tallied at join), and the survivors keep
+/// draining the bag.
+fn lock(shared: &Mutex<LiveState>) -> MutexGuard<'_, LiveState> {
+    shared.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Runs one episode per worker concurrently over the shared bag.
 ///
 /// `time_scale` converts virtual time units to wall time (e.g. `50 µs` per
@@ -100,8 +108,9 @@ pub fn run_live(bag: &mut TaskBag, workers: &[LiveWorker], time_scale: Duration)
 /// boundary, the in-flight chunk's tasks are requeued — still claimable by
 /// surviving workers, not lost work — the panicking worker's episode ends,
 /// and the panic is tallied in [`LiveOutcome::worker_panics`]. A panic
-/// never propagates to the master thread. (`parking_lot` mutexes don't
-/// poison, so the shared bag stays usable by design.)
+/// never propagates to the master thread. (A poisoned lock is taken back
+/// with [`PoisonError::into_inner`], so the shared bag stays usable by
+/// design.)
 ///
 /// Workers retire on an empty bag only once nothing is in flight: a
 /// checked-out chunk can still be requeued (panic) or abandoned
@@ -121,12 +130,12 @@ pub fn run_live_with(
         in_flight: 0,
     });
     let scale = |v: f64| time_scale.mul_f64(v.max(0.0));
-    let outcomes: Vec<WorkerTally> = crossbeam::thread::scope(|scope| {
+    let outcomes: Vec<WorkerTally> = std::thread::scope(|scope| {
         let handles: Vec<_> = workers
             .iter()
             .map(|w| {
                 let shared = &shared;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let episode_start = Instant::now();
                     let deadline = episode_start + scale(w.reclaim_at);
                     let mut tally = WorkerTally::default();
@@ -137,7 +146,7 @@ pub fn run_live_with(
                             break 'episode;
                         }
                         let chunk = {
-                            let mut s = shared.lock();
+                            let mut s = lock(shared);
                             let chunk = cs_tasks::pack_chunk(&mut s.bag, t, w.c);
                             if !chunk.is_empty() {
                                 s.in_flight += 1;
@@ -153,7 +162,7 @@ pub fn run_live_with(
                             // outstanding chunk resolves.
                             loop {
                                 {
-                                    let s = shared.lock();
+                                    let s = lock(shared);
                                     if !s.bag.is_drained() {
                                         break;
                                     }
@@ -176,7 +185,7 @@ pub fn run_live_with(
                                 // destroyed nor delivered, so requeue it and
                                 // retire this worker.
                                 tally.panics += 1;
-                                let mut s = shared.lock();
+                                let mut s = lock(shared);
                                 s.bag.requeue(chunk);
                                 s.in_flight -= 1;
                                 break 'episode;
@@ -184,7 +193,7 @@ pub fn run_live_with(
                             if Instant::now() >= deadline {
                                 tally.lost += chunk.total_duration();
                                 tally.chunks_lost += 1;
-                                let mut s = shared.lock();
+                                let mut s = lock(shared);
                                 s.bag.abandon(chunk);
                                 s.in_flight -= 1;
                                 break 'episode;
@@ -192,7 +201,7 @@ pub fn run_live_with(
                         }
                         tally.completed += chunk.total_duration();
                         tally.tasks += chunk.len() as u64;
-                        let mut s = shared.lock();
+                        let mut s = lock(shared);
                         s.bag.complete(chunk);
                         s.in_flight -= 1;
                     }
@@ -213,9 +222,11 @@ pub fn run_live_with(
                 })
             })
             .collect()
-    })
-    .expect("scope panicked");
-    *bag = shared.into_inner().bag;
+    });
+    *bag = shared
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .bag;
     let mut out = LiveOutcome {
         wall: start.elapsed(),
         ..Default::default()

@@ -2,9 +2,10 @@
 //!
 //! A single farm run is one sample of a stochastic system; policy
 //! comparisons need distributions. [`replicate_farm`] runs `n` independent
-//! replications (differing only in seed) across crossbeam scoped threads
-//! and merges the per-replication outcomes into summary statistics —
-//! reproducible for a fixed master seed regardless of thread count.
+//! replications (differing only in seed) across `std::thread::scope`
+//! threads and merges the per-replication outcomes into summary
+//! statistics — reproducible for a fixed master seed regardless of thread
+//! count.
 
 use crate::farm::{Farm, FarmConfig, FarmConfigError, PolicySpec, WorkstationConfig};
 use cs_sim::Summary;
@@ -30,8 +31,8 @@ pub struct ReplicationReport {
     pub drained_fraction: f64,
 }
 
-/// Runs `replications` independent farm simulations over `threads` crossbeam
-/// scoped threads.
+/// Runs `replications` independent farm simulations over `threads` scoped
+/// threads.
 ///
 /// `template` supplies the workstations (with their fault plans), storms,
 /// resilience knobs, horizon and base seed; replication `r` runs with seed
@@ -108,17 +109,16 @@ pub fn replicate_farm(
         out
     };
 
-    let results: Vec<Shard> = crossbeam::thread::scope(|scope| {
+    let results: Vec<Shard> = std::thread::scope(|scope| {
         let handles: Vec<_> = shards
             .iter()
-            .map(|&(lo, hi)| scope.spawn(move |_| run_range(lo, hi)))
+            .map(|&(lo, hi)| scope.spawn(move || run_range(lo, hi)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("replication shard panicked"))
             .collect()
-    })
-    .expect("scope panicked");
+    });
 
     let mut makespan = Summary::new();
     let mut completed = Summary::new();

@@ -1,23 +1,23 @@
-//! Periodic state snapshots: O(snapshot-interval) crash recovery and
+//! Periodic state snapshots: the restore points of crash recovery and
 //! time-travel forking for journaled farm runs.
 //!
-//! PR 5's recovery is *redo replay*: re-run the seeded engine from virtual
-//! time zero and verify every regenerated event against the journal —
-//! O(run length). This module captures the farm's **complete** mid-run
-//! state between two queue events, so [`crate::journal`]'s resume can skip
-//! straight to the last snapshot and replay only the tail: the re-execution
-//! cost becomes O(snapshot interval), independent of how long the run had
-//! been going (ROADMAP item 5's blocker for mega-scale farms).
+//! Redo replay re-runs the seeded engine from virtual time zero and
+//! verifies every regenerated event against the journal — O(run length).
+//! This module captures the farm's **complete** mid-run state between two
+//! queue events, so [`crate::journal`]'s recovery can restore the last
+//! snapshot and replay only the tail: the re-execution cost becomes
+//! O(snapshot interval), independent of how long the run had been going.
+//! The run's initial state ⊥ is the restore point of last resort.
 //!
 //! # What a snapshot holds
 //!
 //! Everything the steppable farm engine (`FarmRun`) owns that is not
-//! derivable from the
-//! configuration: the master RNG stream and every per-workstation fault
-//! stream (raw xoshiro256** state words), the pending-event queue, the
-//! task bag's raw parts, the lease table, the banked-id set, and each
-//! workstation's episode/lease/quarantine/backoff/crash cursors and stats.
-//! Policies are rebuilt from the [`FarmConfig`] and re-hydrated through
+//! derivable from the configuration: the master RNG stream and every
+//! per-workstation fault stream (raw xoshiro256** state words), the
+//! pending-event queue, the task bag's raw parts, the lease table, the
+//! banked-id set, and each workstation's
+//! episode/lease/quarantine/backoff/crash cursors and stats. Policies are
+//! rebuilt from the [`FarmConfig`] and re-hydrated through
 //! [`cs_sim::policy::ChunkPolicy::save_state`] (the paper's three policies
 //! are stateless; the hook covers stateful ones like replayed schedules).
 //! Floats are serialized as `f64::to_bits` hex, so restore is bitwise — a
@@ -25,15 +25,15 @@
 //!
 //! # Format, versioning, integrity
 //!
-//! The sidecar (`<journal>.snap`, see [`default_snapshot_path`]) is a
-//! line-oriented text file opening with the version banner
+//! Each ring generation (`<journal>.snap.<g>`, see [`ring_snapshot_path`])
+//! is a line-oriented text file opening with the version banner
 //! `cs-now-snapshot v1` and closing with an FNV-1a 64 checksum of the
 //! preceding bytes. A `journal` line binds the snapshot to a committed
 //! journal prefix: record count plus a running FNV-1a hash of those
-//! records' bytes, verified at load so a snapshot can never be applied to
-//! a journal it does not describe. Any failure — unknown version, parse
+//! records' bytes, verified at recovery so a snapshot can never be applied
+//! to a journal it does not describe. Any failure — unknown version, parse
 //! error, checksum or binding mismatch, foreign farm — is a typed
-//! [`SnapshotError`], and resume degrades gracefully to full redo replay
+//! [`SnapshotError`], and recovery falls back to an older generation or ⊥
 //! (reported as [`SnapshotOutcome::Fallback`], never a wrong answer).
 //!
 //! Snapshots are written atomically (temp file + rename) on the same
@@ -46,8 +46,8 @@
 //! A snapshot is also a fork point: [`Farm::fork_from_snapshot`] restores
 //! the state under a *perturbed* configuration (typically a different
 //! [`crate::FaultPlan`]) and plays the rest of the run as a what-if, while
-//! [`Farm::replay_to`] in [`crate::journal`] reconstructs the state at any
-//! record for inspection.
+//! [`Farm::replay_to_from`] in [`crate::journal`] reconstructs the state
+//! at any record for inspection.
 
 use crate::equeue::EventQueue;
 use crate::farm::{
@@ -78,17 +78,8 @@ pub(crate) fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The sidecar path for a journal: `<journal>.snap` next to the journal
-/// file.
-pub fn default_snapshot_path(journal: &Path) -> PathBuf {
-    let mut name = journal.as_os_str().to_os_string();
-    name.push(".snap");
-    PathBuf::from(name)
-}
-
 /// The sidecar path of ring generation `g`: `<journal>.snap.<g>`. A
-/// snapshot ring of size N cycles generations `0..N`; ring size 1 uses
-/// the legacy un-numbered [`default_snapshot_path`].
+/// snapshot ring of size N cycles generations `0..N`.
 pub fn ring_snapshot_path(journal: &Path, generation: u32) -> PathBuf {
     let mut name = journal.as_os_str().to_os_string();
     name.push(format!(".snap.{generation}"));
@@ -261,10 +252,10 @@ impl fmt::Display for SnapshotErrorKind {
     }
 }
 
-/// How [`Farm::resume`] used (or failed to use) the snapshot sidecar.
+/// How [`Farm::resume_vfs`] used (or failed to use) the snapshot ring.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SnapshotOutcome {
-    /// No sidecar was present: recovery was full redo replay.
+    /// No generation was present: recovery restored ⊥ (full redo replay).
     #[default]
     None,
     /// The snapshot restored cleanly; this many committed records were
@@ -273,8 +264,9 @@ pub enum SnapshotOutcome {
         /// Journal records covered by the snapshot (not replayed).
         records_skipped: u64,
     },
-    /// A sidecar was present but rejected for the given reason; recovery
-    /// fell back to full redo replay. The run still finishes bitwise-exact.
+    /// Every generation present was rejected, the last for the given
+    /// reason; recovery fell back to ⊥ (full redo replay). The run still
+    /// finishes bitwise-exact.
     Fallback(SnapshotErrorKind),
 }
 
@@ -298,9 +290,7 @@ pub struct SnapshotMeta {
 /// Reads and validates (version, parse, checksum) a sidecar, returning its
 /// metadata without restoring anything.
 pub fn inspect_snapshot(path: impl AsRef<Path>) -> Result<SnapshotMeta, SnapshotError> {
-    let text = std::fs::read_to_string(path)?;
-    let snap = FarmSnapshot::decode(&text)?;
-    Ok(snap.meta())
+    FarmSnapshot::load(&StdVfs, path.as_ref()).map(|snap| snap.meta())
 }
 
 // ---------------------------------------------------------------------------
@@ -659,43 +649,12 @@ impl FarmSnapshot {
                 st.late_banks
             ));
         }
-        let checksum = fnv1a64(FNV_OFFSET, s.as_bytes());
-        s.push_str(&format!("checksum {checksum:016x}\n"));
-        s
+        seal(s)
     }
 
     /// Parses and integrity-checks the line format.
     pub(crate) fn decode(text: &str) -> Result<Self, SnapshotError> {
-        // Verify the trailing checksum over everything before its line.
-        let body_end = match text.rfind("\nchecksum ") {
-            Some(i) => i + 1,
-            None => {
-                return Err(SnapshotError::Malformed {
-                    line: text.lines().count() as u64,
-                    reason: "missing trailing checksum line".into(),
-                })
-            }
-        };
-        let checksum_line = text[body_end..].trim_end();
-        let expected = checksum_line
-            .strip_prefix("checksum ")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| SnapshotError::Malformed {
-                line: text.lines().count() as u64,
-                reason: "unparsable checksum line".into(),
-            })?;
-        let found = fnv1a64(FNV_OFFSET, &text.as_bytes()[..body_end]);
-        if expected != found {
-            return Err(SnapshotError::Checksum { expected, found });
-        }
-
-        let mut cur = Cursor::new(&text[..body_end]);
-        let banner = cur.next()?;
-        if banner != SNAPSHOT_VERSION {
-            return Err(SnapshotError::Version {
-                found: banner.chars().take(40).collect(),
-            });
-        }
+        let mut cur = unseal(text, SNAPSHOT_VERSION)?;
         let mut meta = cur.fields(&["meta seed", "workstations", "tasks"])?;
         let (seed, workstations, tasks) = (p_u64(&mut meta)?, p_u64(&mut meta)?, p_u64(&mut meta)?);
         let mut j = cur.fields(&["journal records", "hash"])?;
@@ -770,26 +729,15 @@ impl FarmSnapshot {
             let n_tasks = p_u64(&mut l)? as usize;
             let mut tasks = Vec::with_capacity(n_tasks);
             for _ in 0..n_tasks {
-                let pair = l.next().ok_or_else(|| SnapshotError::Malformed {
-                    line: 0,
-                    reason: "lease task list shorter than its count".into(),
-                })?;
-                let (id, dur) = pair
-                    .split_once(':')
-                    .ok_or_else(|| SnapshotError::Malformed {
-                        line: 0,
-                        reason: "lease task not id:duration".into(),
-                    })?;
-                tasks.push(Task {
-                    id: id.parse().map_err(|_| SnapshotError::Malformed {
-                        line: 0,
-                        reason: "bad lease task id".into(),
-                    })?,
-                    duration: parse_fx(dur).ok_or_else(|| SnapshotError::Malformed {
-                        line: 0,
-                        reason: "bad lease task duration".into(),
-                    })?,
+                let task = l.next().and_then(|pair| {
+                    let (id, dur) = pair.split_once(':')?;
+                    Some(Task {
+                        id: id.parse().ok()?,
+                        duration: parse_fx(dur)?,
+                    })
                 });
+                tasks
+                    .push(task.ok_or_else(|| cur.malformed("expected an id:duration lease task"))?);
             }
             leases.push(LeaseSnap {
                 lease,
@@ -896,38 +844,18 @@ impl FarmSnapshot {
         })
     }
 
-    /// Writes the snapshot atomically: temp file in the same directory,
-    /// fsync, rename over the destination. A crash mid-write leaves either
-    /// the old snapshot or the new one, never a torn file.
-    #[cfg(test)]
-    pub(crate) fn write_atomic(&self, path: &Path) -> Result<(), SnapshotError> {
-        self.write_atomic_with(&StdVfs, path)
-    }
-
-    /// Writes the snapshot atomically (temp file, fsync, rename) through
-    /// an injectable [`Vfs`]; every write, fsync and rename error surfaces
-    /// as a typed [`SnapshotError::Io`].
-    pub(crate) fn write_atomic_with(
-        &self,
-        vfs: &dyn Vfs,
-        path: &Path,
-    ) -> Result<(), SnapshotError> {
+    /// Writes the snapshot atomically through `vfs`: temp file in the same
+    /// directory, fsync, rename over the destination. A crash mid-write
+    /// leaves either the old snapshot or the new one, never a torn file;
+    /// every write, fsync and rename error surfaces as a typed
+    /// [`SnapshotError::Io`].
+    pub(crate) fn write_atomic(&self, vfs: &dyn Vfs, path: &Path) -> Result<(), SnapshotError> {
         write_atomic_bytes(vfs, path, self.encode().as_bytes())
     }
 
-    /// Reads and fully validates a sidecar file.
-    pub(crate) fn load(path: &Path) -> Result<Self, SnapshotError> {
-        Self::load_with(&StdVfs, path)
-    }
-
-    /// [`FarmSnapshot::load`] through an injectable [`Vfs`].
-    pub(crate) fn load_with(vfs: &dyn Vfs, path: &Path) -> Result<Self, SnapshotError> {
-        let bytes = vfs.read(path)?;
-        let text = String::from_utf8(bytes).map_err(|_| SnapshotError::Malformed {
-            line: 0,
-            reason: "snapshot is not UTF-8".into(),
-        })?;
-        Self::decode(&text)
+    /// Reads and fully validates a sidecar file through `vfs`.
+    pub(crate) fn load(vfs: &dyn Vfs, path: &Path) -> Result<Self, SnapshotError> {
+        Self::decode(&read_text(vfs, path)?)
     }
 }
 
@@ -995,41 +923,12 @@ impl SegmentMeta {
             Some(h) => s.push_str(&format!("first {h:016x}\n")),
             None => s.push_str("first -\n"),
         }
-        let checksum = fnv1a64(FNV_OFFSET, s.as_bytes());
-        s.push_str(&format!("checksum {checksum:016x}\n"));
-        s
+        seal(s)
     }
 
     /// Parses and integrity-checks the line format.
     pub(crate) fn decode(text: &str) -> Result<Self, SnapshotError> {
-        let body_end = match text.rfind("\nchecksum ") {
-            Some(i) => i + 1,
-            None => {
-                return Err(SnapshotError::Malformed {
-                    line: text.lines().count() as u64,
-                    reason: "missing trailing checksum line".into(),
-                })
-            }
-        };
-        let expected = text[body_end..]
-            .trim_end()
-            .strip_prefix("checksum ")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| SnapshotError::Malformed {
-                line: text.lines().count() as u64,
-                reason: "unparsable checksum line".into(),
-            })?;
-        let found = fnv1a64(FNV_OFFSET, &text.as_bytes()[..body_end]);
-        if expected != found {
-            return Err(SnapshotError::Checksum { expected, found });
-        }
-        let mut cur = Cursor::new(&text[..body_end]);
-        let banner = cur.next()?;
-        if banner != SEGMENT_VERSION {
-            return Err(SnapshotError::Version {
-                found: banner.chars().take(40).collect(),
-            });
-        }
+        let mut cur = unseal(text, SEGMENT_VERSION)?;
         let mut b = cur.fields(&["base records", "hash"])?;
         let (base_records, base_hash) = (p_u64(&mut b)?, p_hex(&mut b)?);
         let first_line = cur.next()?;
@@ -1056,12 +955,7 @@ impl SegmentMeta {
 
     /// Loads and validates the metadata at `path`.
     pub(crate) fn load(vfs: &dyn Vfs, path: &Path) -> Result<Self, SnapshotError> {
-        let bytes = vfs.read(path)?;
-        let text = String::from_utf8(bytes).map_err(|_| SnapshotError::Malformed {
-            line: 0,
-            reason: "segment metadata is not UTF-8".into(),
-        })?;
-        Self::decode(&text)
+        Self::decode(&read_text(vfs, path)?)
     }
 
     /// True when `record` (the segment's actual first line, without the
@@ -1108,7 +1002,7 @@ impl Farm {
         config: FarmConfig,
         snap_path: impl AsRef<Path>,
     ) -> Result<(FarmReport, SnapshotMeta), SnapshotError> {
-        let snap = FarmSnapshot::load(snap_path.as_ref())?;
+        let snap = FarmSnapshot::load(&StdVfs, snap_path.as_ref())?;
         let meta = snap.meta();
         let mut run = snap.restore(config)?;
         let mut sink = NoopSink;
@@ -1119,6 +1013,51 @@ impl Farm {
 }
 
 // -- encode/decode helpers ---------------------------------------------------
+
+/// Appends the trailing FNV-1a 64 `checksum` line over everything before
+/// it.
+fn seal(mut s: String) -> String {
+    let checksum = fnv1a64(FNV_OFFSET, s.as_bytes());
+    s.push_str(&format!("checksum {checksum:016x}\n"));
+    s
+}
+
+/// Verifies the trailing checksum line and the version `banner`,
+/// returning a cursor over the body after the banner.
+fn unseal<'a>(text: &'a str, banner: &str) -> Result<Cursor<'a>, SnapshotError> {
+    let malformed = |reason: &str| SnapshotError::Malformed {
+        line: text.lines().count() as u64,
+        reason: reason.into(),
+    };
+    let body_end = 1 + text
+        .rfind("\nchecksum ")
+        .ok_or_else(|| malformed("missing trailing checksum line"))?;
+    let expected = text[body_end..]
+        .trim_end()
+        .strip_prefix("checksum ")
+        .and_then(|h| u64::from_str_radix(h, 16).ok())
+        .ok_or_else(|| malformed("unparsable checksum line"))?;
+    let found = fnv1a64(FNV_OFFSET, &text.as_bytes()[..body_end]);
+    if expected != found {
+        return Err(SnapshotError::Checksum { expected, found });
+    }
+    let mut cur = Cursor::new(&text[..body_end]);
+    let first = cur.next()?;
+    if first != banner {
+        return Err(SnapshotError::Version {
+            found: first.chars().take(40).collect(),
+        });
+    }
+    Ok(cur)
+}
+
+/// Reads a sealed text file through `vfs`.
+fn read_text(vfs: &dyn Vfs, path: &Path) -> Result<String, SnapshotError> {
+    String::from_utf8(vfs.read(path)?).map_err(|_| SnapshotError::Malformed {
+        line: 0,
+        reason: format!("{} is not UTF-8", path.display()),
+    })
+}
 
 /// Bitwise-exact float serialization: `f64::to_bits` as fixed-width hex.
 fn fx(v: f64) -> String {
@@ -1416,7 +1355,7 @@ mod tests {
         for _ in 0..30 {
             run.step(&mut sink, &mut prof);
         }
-        run.save_state(0, 0).write_atomic(&path).unwrap();
+        run.save_state(0, 0).write_atomic(&StdVfs, &path).unwrap();
         while run.step(&mut sink, &mut prof) {}
         let reference = run.finish(&mut sink, &mut prof);
 
@@ -1454,7 +1393,9 @@ mod tests {
         for _ in 0..30 {
             run.step(&mut sink, &mut prof);
         }
-        run.save_state(29, 0xBEEF).write_atomic(&path).unwrap();
+        run.save_state(29, 0xBEEF)
+            .write_atomic(&StdVfs, &path)
+            .unwrap();
         let meta = inspect_snapshot(&path).unwrap();
         assert_eq!(meta.seed, 7);
         assert_eq!(meta.workstations, 3);

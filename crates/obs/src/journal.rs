@@ -9,22 +9,21 @@
 //!   [`FsyncPolicy`], so a committed record survives not just a killed
 //!   process but a killed machine.
 //! * **torn-tail-tolerant reads** — a crash can land mid-write, leaving a
-//!   final partial line. [`read_journal`] truncates at the last complete,
+//!   final partial line. [`read_journal_with`] truncates at the last complete,
 //!   schema-valid record instead of erroring; only damage *before* the
 //!   tail is corruption.
 //!
 //! The journal records master state transitions by value (every dispatch,
 //! bank, requeue, quarantine, …), so a deterministic producer can replay
 //! the prefix against its own regenerated stream and continue appending —
-//! see `cs-now`'s `Farm::resume` for the consumer side.
+//! see `cs-now`'s `Farm::resume_vfs` for the consumer side.
 //!
 //! [`JsonlSink`]: crate::JsonlSink
 
 use crate::event::{Event, EventKind};
 use crate::schema::validate_line;
 use crate::sink::EventSink;
-use crate::vfs::{StdVfs, StdVfsFile, Vfs, VfsFile};
-use std::fs::File;
+use crate::vfs::{Vfs, VfsFile};
 use std::path::Path;
 
 /// When [`JournalWriter`] forces records to stable storage.
@@ -72,28 +71,16 @@ pub struct JournalWriter {
 }
 
 impl JournalWriter {
-    /// Creates (truncating) `path` and returns a journal writing to it.
-    pub fn create(path: impl AsRef<Path>, policy: FsyncPolicy) -> std::io::Result<Self> {
-        Self::create_with(&StdVfs, path.as_ref(), policy)
-    }
-
-    /// [`JournalWriter::create`] through an injectable [`Vfs`].
+    /// Creates (truncating) `path` through `vfs` and returns a journal
+    /// writing to it.
     pub fn create_with(vfs: &dyn Vfs, path: &Path, policy: FsyncPolicy) -> std::io::Result<Self> {
         Ok(Self::from_handle(vfs.create(path)?, policy))
     }
 
-    /// Reopens an existing journal for appending, first truncating it to
-    /// `valid_len` bytes (the [`read_journal`] `complete_bytes` — this is
-    /// how a resuming master discards a torn tail).
-    pub fn append_at(
-        path: impl AsRef<Path>,
-        valid_len: u64,
-        policy: FsyncPolicy,
-    ) -> std::io::Result<Self> {
-        Self::append_at_with(&StdVfs, path.as_ref(), valid_len, policy)
-    }
-
-    /// [`JournalWriter::append_at`] through an injectable [`Vfs`].
+    /// Reopens an existing journal through `vfs` for appending, first
+    /// truncating it to `valid_len` bytes (the [`read_journal_with`]
+    /// `complete_bytes` — this is how a resuming master discards a torn
+    /// tail).
     pub fn append_at_with(
         vfs: &dyn Vfs,
         path: &Path,
@@ -101,11 +88,6 @@ impl JournalWriter {
         policy: FsyncPolicy,
     ) -> std::io::Result<Self> {
         Ok(Self::from_handle(vfs.open_append(path, valid_len)?, policy))
-    }
-
-    /// Wraps an already-open file (tests and special handles).
-    pub fn from_file(file: File, policy: FsyncPolicy) -> Self {
-        Self::from_handle(Box::new(StdVfsFile(file)), policy)
     }
 
     /// Wraps an already-open [`VfsFile`] handle.
@@ -242,7 +224,7 @@ impl Drop for JournalWriter {
     }
 }
 
-/// What [`read_journal`] recovered from a journal file.
+/// What [`read_journal_with`] recovered from a journal file.
 #[derive(Debug, Clone, Default)]
 pub struct JournalContents {
     /// The complete, schema-valid records, in file order.
@@ -297,7 +279,7 @@ impl From<std::io::Error> for JournalReadError {
     }
 }
 
-/// Reads a journal, tolerating a torn final record.
+/// Reads a journal through `vfs`, tolerating a torn final record.
 ///
 /// A record is *complete* when it is newline-terminated and passes
 /// [`validate_line`]. The scan stops at the first incomplete record:
@@ -308,11 +290,6 @@ impl From<std::io::Error> for JournalReadError {
 ///   write);
 /// * an invalid line *followed by* further records → hard
 ///   [`JournalReadError::Corrupt`].
-pub fn read_journal(path: impl AsRef<Path>) -> Result<JournalContents, JournalReadError> {
-    read_journal_with(&StdVfs, path.as_ref())
-}
-
-/// [`read_journal`] through an injectable [`Vfs`].
 pub fn read_journal_with(vfs: &dyn Vfs, path: &Path) -> Result<JournalContents, JournalReadError> {
     let bytes = vfs.read(path)?;
     let mut out = JournalContents::default();
@@ -357,6 +334,8 @@ pub fn read_journal_with(vfs: &dyn Vfs, path: &Path) -> Result<JournalContents, 
 mod tests {
     use super::*;
     use crate::event::EventKind;
+    use crate::vfs::{StdVfs, StdVfsFile};
+    use std::fs::File;
 
     fn ev(time: f64, kind: EventKind) -> Event {
         Event { time, kind }
@@ -409,14 +388,14 @@ mod tests {
     #[test]
     fn writes_and_reads_round_trip() {
         let path = tmp("roundtrip");
-        let mut w = JournalWriter::create(&path, FsyncPolicy::EveryRecord).unwrap();
+        let mut w = JournalWriter::create_with(&StdVfs, &path, FsyncPolicy::EveryRecord).unwrap();
         for e in sample_events() {
             w.emit(&e);
         }
         let stats = w.finish().unwrap();
         assert_eq!(stats.records, 4);
         assert!(stats.syncs >= 4, "{stats:?}");
-        let j = read_journal(&path).unwrap();
+        let j = read_journal_with(&StdVfs, &path).unwrap();
         assert_eq!(j.records.len(), 4);
         assert!(!j.is_torn());
         let text = std::fs::read_to_string(&path).unwrap();
@@ -434,7 +413,8 @@ mod tests {
     #[test]
     fn interval_policy_syncs_less_often() {
         let path = tmp("interval");
-        let mut w = JournalWriter::create(&path, FsyncPolicy::Interval(100.0)).unwrap();
+        let mut w =
+            JournalWriter::create_with(&StdVfs, &path, FsyncPolicy::Interval(100.0)).unwrap();
         for i in 0..50u64 {
             w.emit(&ev(i as f64, EventKind::EpisodeStart { ws: 0 }));
         }
@@ -444,7 +424,8 @@ mod tests {
         // only the finish sync fires.
         assert_eq!(lazy.syncs, 1, "{lazy:?}");
 
-        let mut w = JournalWriter::create(&path, FsyncPolicy::Interval(10.0)).unwrap();
+        let mut w =
+            JournalWriter::create_with(&StdVfs, &path, FsyncPolicy::Interval(10.0)).unwrap();
         for i in 0..50u64 {
             w.emit(&ev(i as f64, EventKind::EpisodeStart { ws: 0 }));
         }
@@ -456,7 +437,8 @@ mod tests {
     #[test]
     fn run_end_forces_a_commit_under_interval_policy() {
         let path = tmp("runend");
-        let mut w = JournalWriter::create(&path, FsyncPolicy::Interval(1e12)).unwrap();
+        let mut w =
+            JournalWriter::create_with(&StdVfs, &path, FsyncPolicy::Interval(1e12)).unwrap();
         for e in sample_events() {
             w.emit(&e);
         }
@@ -468,14 +450,14 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_not_fatal() {
         let path = tmp("torn");
-        let mut w = JournalWriter::create(&path, FsyncPolicy::EveryRecord).unwrap();
+        let mut w = JournalWriter::create_with(&StdVfs, &path, FsyncPolicy::EveryRecord).unwrap();
         for e in sample_events() {
             w.emit(&e);
         }
         let clean_len = std::fs::metadata(&path).unwrap().len();
         w.write_raw(b"{\"v\":2,\"t\":12.5,\"ty");
         drop(w);
-        let j = read_journal(&path).unwrap();
+        let j = read_journal_with(&StdVfs, &path).unwrap();
         assert_eq!(j.records.len(), 4);
         assert!(j.is_torn());
         assert_eq!(j.complete_bytes, clean_len);
@@ -486,13 +468,13 @@ mod tests {
     #[test]
     fn newline_terminated_garbage_tail_is_torn_too() {
         let path = tmp("garbage_tail");
-        let mut w = JournalWriter::create(&path, FsyncPolicy::EveryRecord).unwrap();
+        let mut w = JournalWriter::create_with(&StdVfs, &path, FsyncPolicy::EveryRecord).unwrap();
         for e in sample_events() {
             w.emit(&e);
         }
         w.write_raw(b"{\"v\":2,\"t\":\n");
         drop(w);
-        let j = read_journal(&path).unwrap();
+        let j = read_journal_with(&StdVfs, &path).unwrap();
         assert_eq!(j.records.len(), 4);
         assert!(j.is_torn());
         std::fs::remove_file(&path).ok();
@@ -501,7 +483,7 @@ mod tests {
     #[test]
     fn mid_file_damage_is_corruption() {
         let path = tmp("corrupt");
-        let mut w = JournalWriter::create(&path, FsyncPolicy::EveryRecord).unwrap();
+        let mut w = JournalWriter::create_with(&StdVfs, &path, FsyncPolicy::EveryRecord).unwrap();
         for e in sample_events() {
             w.emit(&e);
         }
@@ -509,7 +491,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let tampered = text.replacen("\"type\":\"dispatch\"", "\"type\":\"disptach\"", 1);
         std::fs::write(&path, tampered).unwrap();
-        match read_journal(&path) {
+        match read_journal_with(&StdVfs, &path) {
             Err(JournalReadError::Corrupt { line: 2, reason }) => {
                 assert!(reason.contains("disptach"), "{reason}");
             }
@@ -521,20 +503,25 @@ mod tests {
     #[test]
     fn append_at_truncates_the_torn_tail_and_continues() {
         let path = tmp("append");
-        let mut w = JournalWriter::create(&path, FsyncPolicy::EveryRecord).unwrap();
+        let mut w = JournalWriter::create_with(&StdVfs, &path, FsyncPolicy::EveryRecord).unwrap();
         let events = sample_events();
         w.emit(&events[0]);
         w.emit(&events[1]);
         w.write_raw(b"{\"v\":2,\"t");
         drop(w);
-        let j = read_journal(&path).unwrap();
+        let j = read_journal_with(&StdVfs, &path).unwrap();
         assert_eq!(j.records.len(), 2);
-        let mut w =
-            JournalWriter::append_at(&path, j.complete_bytes, FsyncPolicy::EveryRecord).unwrap();
+        let mut w = JournalWriter::append_at_with(
+            &StdVfs,
+            &path,
+            j.complete_bytes,
+            FsyncPolicy::EveryRecord,
+        )
+        .unwrap();
         w.emit(&events[2]);
         w.emit(&events[3]);
         w.finish().unwrap();
-        let j = read_journal(&path).unwrap();
+        let j = read_journal_with(&StdVfs, &path).unwrap();
         assert!(!j.is_torn());
         assert_eq!(
             j.records,
@@ -547,7 +534,7 @@ mod tests {
     fn empty_journal_reads_empty() {
         let path = tmp("empty");
         std::fs::write(&path, b"").unwrap();
-        let j = read_journal(&path).unwrap();
+        let j = read_journal_with(&StdVfs, &path).unwrap();
         assert!(j.records.is_empty());
         assert!(!j.is_torn());
         assert_eq!(j.complete_bytes, 0);
@@ -559,7 +546,8 @@ mod tests {
         let path = tmp("readonly");
         std::fs::write(&path, b"").unwrap();
         let file = File::open(&path).unwrap(); // read-only handle
-        let mut w = JournalWriter::from_file(file, FsyncPolicy::EveryRecord);
+        let mut w =
+            JournalWriter::from_handle(Box::new(StdVfsFile(file)), FsyncPolicy::EveryRecord);
         for e in sample_events() {
             w.emit(&e);
         }

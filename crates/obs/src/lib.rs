@@ -21,8 +21,9 @@
 //!   checks.
 //! * [`journal`] — a **durable write-ahead journal** over the same event
 //!   schema: [`JournalWriter`] (fsync-on-commit [`EventSink`]) and
-//!   [`read_journal`] (torn-tail-tolerant reader), the substrate for
-//!   `cs-now`'s crash-recovery (`Farm::run_journaled` / `Farm::resume`).
+//!   [`read_journal_with`] (torn-tail-tolerant reader), the substrate for
+//!   `cs-now`'s crash-recovery (`Farm::run_journaled_vfs` /
+//!   `Farm::resume_vfs`).
 //! * [`span`] — the **span profiler** ([`SpanProfiler`]): hierarchical
 //!   wall-clock spans recorded as `span_ns.*` histograms and emitted as
 //!   v2 `span_start`/`span_end` events.
@@ -74,8 +75,7 @@ pub use analyze::{
 pub use event::{Event, EventKind, ALL_KINDS, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
 pub use flight::{FlightRecorder, ProgressSink};
 pub use journal::{
-    read_journal, read_journal_with, FsyncPolicy, JournalContents, JournalReadError, JournalStats,
-    JournalWriter,
+    read_journal_with, FsyncPolicy, JournalContents, JournalReadError, JournalStats, JournalWriter,
 };
 pub use json::{parse_json, Json};
 pub use lineage::{

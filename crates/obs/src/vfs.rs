@@ -2,7 +2,7 @@
 //!
 //! Every byte the journal/snapshot stack persists flows through a [`Vfs`]:
 //! [`JournalWriter`](crate::JournalWriter) opens and appends through it,
-//! [`read_journal`](crate::read_journal) reads through it, and `cs-now`'s
+//! [`read_journal_with`](crate::read_journal_with) reads through it, and `cs-now`'s
 //! snapshot tmp+fsync+rename path renames through it. Production code uses
 //! [`StdVfs`] (a zero-cost shim over `std::fs`); tests and the chaos
 //! harness use [`FaultyVfs`] to inject failed writes, short (torn) writes,

@@ -4,7 +4,7 @@
 //! pre-overhaul event loop (reversed `BinaryHeap` + `BTreeMap` leases +
 //! eager JSONL rendering). Every later rewrite of the inner loop must
 //! reproduce them byte-identically: the journal is the full event stream,
-//! the snapshot sidecar is the complete mid-run engine state, and the
+//! the snapshot (ring generation 0) is the complete mid-run engine state, and the
 //! report digest pins every `f64` by its bit pattern.
 //!
 //! Regenerate (only when an *intentional* observable change lands):
@@ -16,7 +16,8 @@
 use cs_life::{ArcLife, Uniform};
 use cs_now::farm::{Farm, FarmConfig, FarmReport, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
-use cs_now::{default_snapshot_path, guideline_fsync_policy, JournalOptions};
+use cs_now::{guideline_fsync_policy, ring_snapshot_path, JournalOptions};
+use cs_obs::StdVfs;
 use cs_tasks::{workloads, TaskBag};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -155,12 +156,12 @@ fn run_and_check(tag: &str, config: FarmConfig, bag: TaskBag, snapshot_every: Op
     };
     let (report, _stats) = Farm::new(config, bag)
         .unwrap()
-        .run_journaled_with(&journal_path, opts)
+        .run_journaled_vfs(&journal_path, opts, &StdVfs)
         .unwrap();
     let journal = std::fs::read(&journal_path).unwrap();
     check_fixture(&format!("{tag}.journal.jsonl"), &journal);
     if snapshot_every.is_some() {
-        let snap = std::fs::read(default_snapshot_path(&journal_path)).unwrap();
+        let snap = std::fs::read(ring_snapshot_path(&journal_path, 0)).unwrap();
         check_fixture(&format!("{tag}.snapshot.txt"), &snap);
     }
     check_fixture(
